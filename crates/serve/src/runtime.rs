@@ -43,6 +43,7 @@ use crate::executor::{
 use crate::health::{HealthMonitor, HealthReport};
 use crate::metrics::ServeMetrics;
 use crate::request::{peak_live_sessions, validate_sessions, Request, Response, Workload};
+use crate::sched::DeviceResidency;
 use crate::timeline::{MetricsTimeline, Timeline, TimelineProbe};
 use crate::trace::{Observer, RunTrace, TraceConfig};
 use ernn_fft::stats::FftStats;
@@ -348,6 +349,7 @@ impl ServeRuntime {
         let mut responses: Vec<Response> = Vec::new();
         let mut obs = Observer::new(self.config.trace);
         let mut telemetry = Telemetry::new(&self.config, self.num_devices);
+        let mut loaded = vec![false; self.num_devices];
         let mut now_us = 0.0f64;
 
         loop {
@@ -379,6 +381,7 @@ impl ServeRuntime {
                         now_us,
                         &mut batcher,
                         &mut pool,
+                        &mut loaded,
                         executor.as_mut(),
                         &mut responses,
                         &mut arrivals,
@@ -415,6 +418,7 @@ impl ServeRuntime {
                             now_us,
                             &mut batcher,
                             &mut pool,
+                            &mut loaded,
                             executor.as_mut(),
                             &mut responses,
                             &mut arrivals,
@@ -480,6 +484,7 @@ impl ServeRuntime {
         now_us: f64,
         batcher: &mut DynamicBatcher,
         pool: &mut DevicePool,
+        loaded: &mut [bool],
         executor: &mut dyn Executor,
         responses: &mut Vec<Response>,
         arrivals: &mut BinaryHeap<Arrival>,
@@ -496,16 +501,20 @@ impl ServeRuntime {
         let batch = taken.batch;
         debug_assert!(!batch.is_empty(), "dispatch requires a formed batch");
         let frame_counts: Vec<u64> = batch.iter().map(|r| r.num_frames() as u64).collect();
-        let exec = match taken.pinned {
-            Some(device) => pool.dispatch_to(
-                device,
-                now_us,
-                0.0,
-                self.model.stage_cycles(),
-                &frame_counts,
-            ),
-            None => pool.dispatch(now_us, &frame_counts),
+        // The first batch on each device streams the weight image in.
+        let device = taken.pinned.unwrap_or_else(|| pool.earliest_free());
+        let load_us = if std::mem::replace(&mut loaded[device], true) {
+            0.0
+        } else {
+            DeviceResidency::load_us(self.model.weight_bytes())
         };
+        let exec = pool.dispatch_to(
+            device,
+            now_us,
+            load_us,
+            self.model.stage_cycles(),
+            &frame_counts,
+        );
         let batch_size = batch.len();
         obs.batch_dispatched(
             now_us,
@@ -513,7 +522,7 @@ impl ServeRuntime {
             &batch,
             &frame_counts,
             &exec,
-            0.0,
+            load_us,
             0.0,
             self.model.stage_cycles().ii(),
         );
@@ -1080,5 +1089,77 @@ mod tests {
             "late-start load must still show real occupancy: {:?}",
             report.metrics.device_occupancy
         );
+    }
+
+    /// The single-model loop is `SchedRuntime` under
+    /// `fifo_earliest_free` with a one-model registry, bit for bit:
+    /// random utterance loads, open and closed loop, 1–4 devices, GRU
+    /// and LSTM, both executors.
+    mod equivalence {
+        use super::*;
+        use crate::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
+        use proptest::prelude::*;
+
+        fn compiled(cell: CellType, seed: u64) -> CompiledModel {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let dense = NetworkBuilder::new(cell, 8, 5)
+                .layer_dims(&[16])
+                .build(&mut rng);
+            let net = compress_network(&dense, BlockPolicy::uniform(4));
+            CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn serve_runtime_matches_fifo_earliest_free_scheduler(
+                lstm in any::<bool>(),
+                devices in 1usize..5,
+                max_batch in 1usize..17,
+                max_wait_us in 0.0f64..200.0,
+                rate in 50_000.0f64..3_000_000.0,
+                closed in any::<bool>(),
+                pool in any::<bool>(),
+                seed in 0u64..1_000,
+            ) {
+                let cell = if lstm { CellType::Lstm } else { CellType::Gru };
+                let m = Arc::new(compiled(cell, seed));
+                let kind = if pool { ExecutorKind::ThreadPool } else { ExecutorKind::Inline };
+                let serve = ServeRuntime::with_executor(
+                    Arc::clone(&m),
+                    devices,
+                    BatchPolicy::new(max_batch, max_wait_us),
+                    kind,
+                );
+                let mut registry = ModelRegistry::new();
+                registry.register_shared("m", Arc::clone(&m));
+                let sched = SchedRuntime::with_executor(
+                    registry,
+                    vec![XCKU060; devices],
+                    SchedPolicy::fifo_earliest_free(max_batch, max_wait_us),
+                    kind,
+                );
+                let utts = synthetic_utterances(5, (2, 30), 8, seed + 1);
+                let (a, b) = if closed {
+                    let payloads: Vec<(usize, Vec<Vec<f32>>)> =
+                        utts.iter().map(|u| (0, u.clone())).collect();
+                    (
+                        serve.run_closed_loop(&utts, 1 + seed as usize % 6, 40),
+                        sched.run_closed_loop(&payloads, 1 + seed as usize % 6, 40, None),
+                    )
+                } else {
+                    let reqs = open_loop_poisson(&utts, 40, rate, seed + 2);
+                    let reqs = if seed % 2 == 0 {
+                        with_uniform_slo(reqs, 150.0)
+                    } else {
+                        reqs
+                    };
+                    (serve.run(reqs.clone()), sched.run(reqs))
+                };
+                prop_assert_eq!(&a.responses, &b.responses);
+                prop_assert_eq!(&a.metrics, &b.metrics);
+            }
+        }
     }
 }
