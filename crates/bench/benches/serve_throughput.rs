@@ -5,9 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ernn_core::pipeline::Pipeline;
+use ernn_fpga::XCKU060;
 use ernn_model::{CellType, ModelSpec};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
-use ernn_serve::{BatchPolicy, CompiledModel, Request, ServeRuntime};
+use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
+use ernn_serve::{CompiledModel, Request};
 use rand::SeedableRng;
 use std::time::Duration;
 
@@ -37,13 +39,19 @@ fn bench_serve(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(600));
 
     let requests = load();
-    for (devices, policy, label) in [
-        (1, BatchPolicy::immediate(), "1dev_unbatched"),
-        (1, BatchPolicy::new(8, 200.0), "1dev_batch8"),
-        (2, BatchPolicy::new(8, 200.0), "2dev_batch8"),
-        (4, BatchPolicy::new(16, 400.0), "4dev_batch16"),
+    for (devices, (max_batch, max_wait_us), label) in [
+        (1, (1, 0.0), "1dev_unbatched"),
+        (1, (8, 200.0), "1dev_batch8"),
+        (2, (8, 200.0), "2dev_batch8"),
+        (4, (16, 400.0), "4dev_batch16"),
     ] {
-        let runtime = ServeRuntime::new(compiled(), devices, policy);
+        let mut registry = ModelRegistry::new();
+        registry.register_shared("gru-32", compiled().into());
+        let runtime = SchedRuntime::new(
+            registry,
+            vec![XCKU060; devices],
+            SchedPolicy::fifo_earliest_free(max_batch, max_wait_us),
+        );
         group.bench_with_input(BenchmarkId::from_parameter(label), &requests, |b, reqs| {
             b.iter(|| std::hint::black_box(runtime.run(reqs.clone())))
         });

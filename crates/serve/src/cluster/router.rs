@@ -23,7 +23,7 @@ use super::placement::{splitmix64, PlacementMap};
 use super::shard::{shard_runtime, ShardSim};
 use super::{ClusterReport, ClusterRuntime, ClusterStats, ShardReport, Steering};
 use crate::metrics::ServeMetrics;
-use crate::request::{validate_sessions, Request, Response, ShedReason, Workload};
+use crate::request::{validate_sessions, validate_times, Request, Response, ShedReason, Workload};
 use crate::sched::{SchedEngine, SchedRuntime};
 use crate::trace::{Observer, ShardGauges};
 use ernn_fpga::transfer::TransferModel;
@@ -382,12 +382,14 @@ impl ClusterRuntime {
     ///
     /// # Panics
     ///
-    /// Panics on invalid sessions, duplicate request ids, or a request
-    /// targeting an unregistered model.
+    /// Panics on invalid sessions, duplicate request ids, a request
+    /// targeting an unregistered model, or a non-finite arrival time or
+    /// deadline.
     pub fn run(&self, requests: Vec<Request>) -> ClusterReport {
         let host_start = Instant::now();
         validate_sessions(&requests);
         for r in &requests {
+            validate_times(r);
             assert!(
                 r.model < self.spec.len(),
                 "request {} targets unregistered model {}",

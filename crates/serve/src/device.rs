@@ -5,19 +5,12 @@
 //! streams its utterances' frames back-to-back through the 3-stage
 //! pipeline and the device is busy until the last frame drains.
 //!
-//! The pool supports two shapes:
-//!
-//! * **Homogeneous** ([`DevicePool::new`]): `n` identical devices, each
-//!   executing with its default stage timing, placed earliest-free by
-//!   [`DevicePool::dispatch`] — the original single-model runtime's
-//!   policy.
-//! * **Heterogeneous** ([`DevicePool::heterogeneous`]): per-device
-//!   [`StageCycles`] (e.g. the [`StageCycles::xcku060`] /
-//!   [`StageCycles::virtex7_690t`] presets). Because the right timing
-//!   then depends on *which model* a batch carries, placement moves up
-//!   into the scheduler's cost model and batches land via
-//!   [`DevicePool::dispatch_to`], which takes the (device, model)
-//!   timing and an optional weight-load setup delay explicitly.
+//! The pool carries per-device default [`StageCycles`] (e.g. the
+//! [`StageCycles::xcku060`] / [`StageCycles::virtex7_690t`] presets).
+//! The right timing depends on *which model* a batch carries, so
+//! placement lives in the scheduler's cost model and batches land via
+//! [`DevicePool::dispatch_to`], which takes the (device, model) timing
+//! and an optional weight-load setup delay explicitly.
 
 use ernn_fpga::sim::{simulate_batch_into, BatchTrace};
 use ernn_fpga::{Device, StageCycles};
@@ -45,12 +38,6 @@ pub struct VirtualDevice {
     free_at_us: f64,
     /// Total busy time (µs), including weight-load setup stalls.
     busy_us: f64,
-    /// Batches executed.
-    pub batches: u64,
-    /// Utterances executed.
-    pub requests: u64,
-    /// Frames executed.
-    pub frames: u64,
     /// Reusable pipeline-simulation scratch (keeps the per-dispatch hot
     /// path allocation-free; never observable from outside `execute`).
     scratch: BatchTrace,
@@ -63,9 +50,6 @@ impl VirtualDevice {
             stages,
             free_at_us: 0.0,
             busy_us: 0.0,
-            batches: 0,
-            requests: 0,
-            frames: 0,
             scratch: BatchTrace::default(),
         }
     }
@@ -111,9 +95,6 @@ impl VirtualDevice {
         let makespan_us = self.scratch.makespan_cycles as f64 * period_us;
         self.free_at_us = compute_start_us + makespan_us;
         self.busy_us += setup_us + makespan_us;
-        self.batches += 1;
-        self.requests += frame_counts.len() as u64;
-        self.frames += frame_counts.iter().sum::<u64>();
         BatchExecution {
             device: index,
             start_us,
@@ -123,27 +104,14 @@ impl VirtualDevice {
     }
 }
 
-/// A pool of virtual devices: identical (earliest-free placement via
-/// [`Self::dispatch`]) or heterogeneous (caller-decided placement via
-/// [`Self::dispatch_to`]).
+/// A pool of virtual devices with caller-decided placement via
+/// [`Self::dispatch_to`].
 #[derive(Debug, Clone)]
 pub struct DevicePool {
     devices: Vec<VirtualDevice>,
 }
 
 impl DevicePool {
-    /// A pool of `n` idle devices sharing one timing model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize, stages: StageCycles) -> Self {
-        assert!(n > 0, "device pool needs at least one device");
-        DevicePool {
-            devices: vec![VirtualDevice::new(stages); n],
-        }
-    }
-
     /// A pool with per-device stage timing — one entry per device, e.g.
     /// mixing [`StageCycles::xcku060`] and [`StageCycles::virtex7_690t`].
     ///
@@ -157,16 +125,6 @@ impl DevicePool {
         }
     }
 
-    /// Number of devices.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Always false (the pool is non-empty by construction).
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
     /// Read access to the devices.
     pub fn devices(&self) -> &[VirtualDevice] {
         &self.devices
@@ -175,29 +133,6 @@ impl DevicePool {
     /// When device `i` next frees up (µs).
     pub fn free_at_us(&self, i: usize) -> f64 {
         self.devices[i].free_at_us()
-    }
-
-    /// Places a batch on the earliest-free device (lowest index wins
-    /// ties, keeping the simulation fully deterministic), executing with
-    /// that device's default stage timing.
-    pub fn dispatch(&mut self, dispatch_us: f64, frame_counts: &[u64]) -> BatchExecution {
-        let chosen = self.earliest_free();
-        let stages = self.devices[chosen].stages;
-        self.devices[chosen].execute(chosen, dispatch_us, 0.0, stages, frame_counts)
-    }
-
-    /// The earliest-free device index (lowest index wins ties).
-    pub fn earliest_free(&self) -> usize {
-        self.devices
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.free_at_us
-                    .partial_cmp(&b.free_at_us)
-                    .expect("finite device clocks")
-            })
-            .map(|(i, _)| i)
-            .expect("pool is non-empty")
     }
 
     /// Places a batch on an explicitly chosen device — the scheduler's
@@ -223,9 +158,7 @@ impl DevicePool {
     /// Charges device `device` as occupied-but-wasted over
     /// `[from_us, to_us)` and pushes its free time to `to_us` — the
     /// accounting for a batch aborted by an injected fault: the device
-    /// really burned those cycles, but no request completed and no
-    /// batch is counted. Throughput counters (`batches`, `requests`,
-    /// `frames`) are untouched.
+    /// really burned those cycles, but no request completed.
     ///
     /// # Panics
     ///
@@ -279,50 +212,39 @@ mod tests {
         }
     }
 
+    fn uniform(n: usize) -> DevicePool {
+        DevicePool::heterogeneous(vec![stages(); n])
+    }
+
     #[test]
     fn device_clock_advances_by_batch_makespan() {
-        let mut pool = DevicePool::new(1, stages());
-        let exec = pool.dispatch(0.0, &[4, 2]);
+        let mut pool = uniform(1);
+        let exec = pool.dispatch_to(0, 0.0, 0.0, stages(), &[4, 2]);
         assert_eq!(exec.device, 0);
         assert!(exec.free_us > 0.0);
         assert_eq!(exec.complete_us.len(), 2);
         assert!(exec.complete_us[0] < exec.complete_us[1]);
         assert_eq!(*exec.complete_us.last().unwrap(), exec.free_us);
         // A second batch dispatched "in the past" waits for the device.
-        let exec2 = pool.dispatch(0.0, &[1]);
+        let exec2 = pool.dispatch_to(0, 0.0, 0.0, stages(), &[1]);
         assert_eq!(exec2.start_us, exec.free_us);
-    }
-
-    #[test]
-    fn pool_places_on_earliest_free_device() {
-        let mut pool = DevicePool::new(2, stages());
-        let a = pool.dispatch(0.0, &[8]);
-        let b = pool.dispatch(0.0, &[1]);
-        assert_eq!(a.device, 0);
-        assert_eq!(b.device, 1, "second batch must go to the idle device");
-        let c = pool.dispatch(0.0, &[1]);
-        assert_eq!(
-            c.device, 1,
-            "device 1 frees first and takes the third batch"
-        );
     }
 
     #[test]
     fn two_devices_drain_sooner_than_one() {
         let batches: Vec<Vec<u64>> = (0..8).map(|_| vec![5u64]).collect();
-        let mut one = DevicePool::new(1, stages());
-        let mut two = DevicePool::new(2, stages());
-        for b in &batches {
-            one.dispatch(0.0, b);
-            two.dispatch(0.0, b);
+        let (mut one, mut two) = (uniform(1), uniform(2));
+        for (i, b) in batches.iter().enumerate() {
+            one.dispatch_to(0, 0.0, 0.0, stages(), b);
+            two.dispatch_to(i % 2, 0.0, 0.0, stages(), b);
         }
         assert!(two.drained_at_us() < one.drained_at_us());
     }
 
     #[test]
     fn busy_time_tracks_executed_work_only() {
-        let mut pool = DevicePool::new(2, stages());
-        pool.dispatch(0.0, &[3]);
+        let mut pool = uniform(2);
+        pool.dispatch_to(0, 0.0, 0.0, stages(), &[3]);
         let d = pool.devices();
         assert!((d[0].busy_us() - pool.drained_at_us()).abs() < 1e-9);
         assert_eq!(d[1].busy_us(), 0.0);
@@ -331,7 +253,7 @@ mod tests {
     #[test]
     fn heterogeneous_pool_keeps_per_device_timing() {
         let mut pool = DevicePool::heterogeneous(vec![stages(), fast_stages()]);
-        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.devices().len(), 2);
         assert_eq!(pool.devices()[1].stages().ii(), 50);
         // Same batch, default timing: the fast device finishes in half
         // the cycles.
@@ -342,11 +264,11 @@ mod tests {
 
     #[test]
     fn dispatch_to_charges_setup_before_compute() {
-        let mut pool = DevicePool::new(1, stages());
+        let mut pool = uniform(1);
         let cold = pool.dispatch_to(0, 0.0, 7.5, stages(), &[2]);
         // Occupation starts at dispatch; completions shift by the setup.
         assert_eq!(cold.start_us, 0.0);
-        let mut warm_pool = DevicePool::new(1, stages());
+        let mut warm_pool = uniform(1);
         let warm = warm_pool.dispatch_to(0, 0.0, 0.0, stages(), &[2]);
         for (c, w) in cold.complete_us.iter().zip(warm.complete_us.iter()) {
             assert!((c - w - 7.5).abs() < 1e-9);
@@ -362,7 +284,7 @@ mod tests {
     fn dispatch_to_overrides_stage_timing_per_model() {
         // One device, two "models": dispatching with fast stages must
         // finish sooner than the device default.
-        let mut pool = DevicePool::new(1, stages());
+        let mut pool = uniform(1);
         let a = pool.dispatch_to(0, 0.0, 0.0, fast_stages(), &[4]);
         let b = pool.dispatch_to(0, a.free_us, 0.0, stages(), &[4]);
         assert!((b.free_us - b.start_us) > (a.free_us - a.start_us));

@@ -3,9 +3,9 @@
 //! A [`Request`] is either one whole ASR utterance or one **chunk** of a
 //! streaming session ([`Workload`]) — a sequence of feature frames
 //! stamped with a (virtual) arrival time, an optional latency deadline,
-//! and the id of the model it targets (single-model runtimes serve model
-//! `0`; the multi-model scheduler resolves ids through its
-//! [`ModelRegistry`](crate::sched::ModelRegistry)). The runtime answers it
+//! and the id of the model it targets (the scheduler resolves ids
+//! through its [`ModelRegistry`](crate::sched::ModelRegistry); a
+//! one-model registry serves model `0`). The runtime answers it
 //! with a [`Response`] carrying the per-frame logits plus the full timing
 //! breakdown, so callers can audit queueing, batching and device time
 //! separately — or a *shed* response when admission control rejected the
@@ -61,8 +61,8 @@ impl Workload {
 pub struct Request {
     /// Caller-chosen identifier, echoed on the response.
     pub id: u64,
-    /// Which registered model this request targets (`0` for single-model
-    /// runtimes).
+    /// Which registered model this request targets (`0` for a one-model
+    /// registry).
     pub model: usize,
     /// Feature frames, each of the model's input dimension.
     pub frames: Vec<Vec<f32>>,
@@ -388,26 +388,19 @@ pub(crate) fn validate_sessions(requests: &[Request]) {
     }
 }
 
-/// Peak number of concurrently live sessions in a (validated) load: a
-/// session is live from its first chunk's arrival through its `last`
-/// chunk's arrival. Runtimes compare this against a configured
-/// [`RuntimeConfig::max_live_sessions`](crate::RuntimeConfig) limit.
-pub(crate) fn peak_live_sessions(requests: &[Request]) -> usize {
-    let mut order: Vec<&Request> = requests.iter().collect();
-    order.sort_by(|a, b| a.arrival_us.total_cmp(&b.arrival_us));
-    let (mut live, mut peak) = (0usize, 0usize);
-    for r in order {
-        if let Workload::Chunk { index, last, .. } = r.workload {
-            if index == 0 {
-                live += 1;
-                peak = peak.max(live);
-            }
-            if last {
-                live -= 1;
-            }
-        }
-    }
-    peak
+/// Rejects a non-finite arrival time or deadline. A NaN arrival would
+/// otherwise sort past every event-loop horizon and silently vanish
+/// from the run.
+///
+/// # Panics
+///
+/// Panics if `arrival_us` or a present `deadline_us` is NaN or infinite.
+pub(crate) fn validate_times(request: &Request) {
+    assert!(
+        request.arrival_us.is_finite() && request.deadline_us.is_none_or(f64::is_finite),
+        "request {} has a non-finite arrival time or deadline",
+        request.id
+    );
 }
 
 #[cfg(test)]

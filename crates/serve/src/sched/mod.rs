@@ -30,9 +30,10 @@
 //! * [`AdmissionPolicy`] — shed predicted-late arrivals with an immediate
 //!   deadline-miss response, and optionally degrade (cap batch size)
 //!   under overload; every decision is logged in an [`AdmissionRecord`].
-//! * [`SchedRuntime`] — the event loop combining all of the above, with
-//!   the same virtual-time determinism contract as the single-model
-//!   runtime: responses, [`ServeMetrics`](crate::ServeMetrics) and
+//! * [`SchedRuntime`] — the event loop combining all of the above, and
+//!   the crate's only one (a single-model deployment is a one-model
+//!   registry under [`SchedPolicy::fifo_earliest_free`]). Virtual time
+//!   is deterministic: responses, [`ServeMetrics`](crate::ServeMetrics) and
 //!   [`SchedStats`] are bit-identical across
 //!   [`ExecutorKind`](crate::ExecutorKind)s.
 //!

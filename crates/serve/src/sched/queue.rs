@@ -14,18 +14,16 @@
 //! every same-model key left behind. The property test in
 //! `tests/sched_edf.rs` pins that down.
 //!
-//! Streaming chunks add two more *closing* rules (shared with
-//! [`DynamicBatcher`](crate::DynamicBatcher), see its module docs): a
-//! batch closes before a second chunk of a session already in it, and
-//! before a chunk whose session is bound to a different device than the
-//! batch is pinned to. Both stop formation rather than skip, so the
-//! prefix/no-inversion property is untouched — and because session
-//! validation requires per-session deadlines to be non-decreasing, a
-//! chunk's predecessor always sorts ahead of it, so these rules are also
-//! what serialize a session's chunks into distinct batches in order.
+//! Streaming chunks add two more *closing* rules: a batch closes before
+//! a second chunk of a session already in it, and before a chunk whose
+//! session is bound to a different device than the batch is pinned to.
+//! Both stop formation rather than skip, so the prefix/no-inversion
+//! property is untouched — and because session validation requires
+//! per-session deadlines to be non-decreasing, a chunk's predecessor
+//! always sorts ahead of it, so these rules are also what serialize a
+//! session's chunks into distinct batches in order.
 
 use super::registry::ModelId;
-use crate::batcher::TakenBatch;
 use crate::request::Request;
 use std::collections::BTreeMap;
 
@@ -251,14 +249,16 @@ impl SchedQueue {
     /// candidate or at a streaming-session conflict (a second chunk of a
     /// session already taken, or a chunk whose `affinity` device
     /// disagrees with the batch's pin — see module docs). Always a prefix
-    /// of the same-model subsequence, so deadlines never invert.
+    /// of the same-model subsequence, so deadlines never invert. Returns
+    /// the batch in key order plus the device it is pinned to, if any
+    /// member's session is bound.
     pub fn take_batch(
         &mut self,
         model: ModelId,
         max_batch: usize,
         padding: &PaddingModel,
         affinity: &dyn Fn(u64) -> Option<usize>,
-    ) -> TakenBatch {
+    ) -> (Vec<Request>, Option<usize>) {
         let mut take: Vec<(u64, u64)> = Vec::new();
         let mut sessions_in: Vec<u64> = Vec::new();
         let mut pinned: Option<usize> = None;
@@ -307,7 +307,7 @@ impl SchedQueue {
         if self.items.is_empty() {
             self.backlog_us = 0.0;
         }
-        TakenBatch { batch, pinned }
+        (batch, pinned)
     }
 }
 
@@ -327,6 +327,10 @@ mod tests {
         None
     }
 
+    fn ids(batch: &[Request]) -> Vec<u64> {
+        batch.iter().map(|r| r.id).collect()
+    }
+
     #[test]
     fn edf_orders_by_deadline_with_deadline_free_last() {
         let mut q = SchedQueue::new(QueueDiscipline::Edf);
@@ -334,9 +338,8 @@ mod tests {
         q.push(req(1, 0, 3, 1.0, None), 1, 1.0);
         q.push(req(2, 0, 3, 2.0, Some(100.0)), 2, 1.0);
         assert_eq!(q.head().unwrap().id, 2);
-        let batch = q.take_batch(0, 8, &PaddingModel::none(), &unbound).batch;
-        let ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![2, 0, 1]);
+        let (batch, _) = q.take_batch(0, 8, &PaddingModel::none(), &unbound);
+        assert_eq!(ids(&batch), vec![2, 0, 1]);
         assert!(q.is_empty());
         assert_eq!(q.backlog_us(), 0.0);
     }
@@ -357,9 +360,8 @@ mod tests {
         q.push(req(1, 0, 3, 0.0, Some(60.0)), 1, 1.0);
         q.push(req(2, 1, 3, 0.0, Some(70.0)), 2, 1.0);
         assert_eq!(q.count_model(1), 2);
-        let batch = q.take_batch(1, 8, &PaddingModel::none(), &unbound).batch;
-        let ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![0, 2]);
+        let (batch, _) = q.take_batch(1, 8, &PaddingModel::none(), &unbound);
+        assert_eq!(ids(&batch), vec![0, 2]);
         // The other model's request stays queued.
         assert_eq!(q.len(), 1);
         assert_eq!(q.head().unwrap().id, 1);
@@ -380,12 +382,11 @@ mod tests {
         q.push(req(1, 0, 4, 0.0, Some(20.0)), 1, 1.0);
         q.push(req(2, 0, 40, 0.0, Some(30.0)), 2, 1.0);
         q.push(req(3, 0, 4, 0.0, Some(40.0)), 3, 1.0);
-        let batch = q.take_batch(0, 8, &p, &unbound).batch;
+        let (batch, _) = q.take_batch(0, 8, &p, &unbound);
         // The long utterance closes the batch — and because formation
         // stops (rather than skipping), request 3 is NOT pulled ahead of
         // request 2's deadline.
-        let ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![0, 1]);
+        assert_eq!(ids(&batch), vec![0, 1]);
         assert_eq!(q.head().unwrap().id, 2);
     }
 
@@ -396,13 +397,50 @@ mod tests {
         q.push(req(11, 0, 3, 0.0, Some(100.0)), 1, 1.0);
         q.push(req(12, 0, 3, 0.0, None), 2, 1.0);
         q.push(req(13, 0, 3, 0.0, None), 3, 1.0);
-        let ids: Vec<u64> = q
-            .take_batch(0, 8, &PaddingModel::none(), &unbound)
-            .batch
-            .iter()
-            .map(|r| r.id)
-            .collect();
-        assert_eq!(ids, vec![10, 11, 12, 13]);
+        let (batch, _) = q.take_batch(0, 8, &PaddingModel::none(), &unbound);
+        assert_eq!(ids(&batch), vec![10, 11, 12, 13]);
+    }
+
+    fn chunk(id: u64, session: u64, arrival: f64) -> Request {
+        Request::chunk(id, session, 0, false, vec![vec![0.0; 2]], arrival)
+    }
+
+    #[test]
+    fn take_batch_respects_max_and_fifo_order() {
+        let mut q = SchedQueue::new(QueueDiscipline::Fifo);
+        for i in 0..5 {
+            q.push(req(i, 0, 1, i as f64, None), i, 1.0);
+        }
+        let (batch, pinned) = q.take_batch(0, 3, &PaddingModel::none(), &unbound);
+        assert_eq!(ids(&batch), vec![0, 1, 2]);
+        assert_eq!(pinned, None);
+        assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn batch_closes_before_a_second_chunk_of_one_session() {
+        let mut q = SchedQueue::new(QueueDiscipline::Fifo);
+        q.push(chunk(0, 7, 0.0), 0, 1.0);
+        q.push(chunk(1, 8, 1.0), 1, 1.0); // different session: batches fine
+        q.push(chunk(2, 7, 2.0), 2, 1.0); // same session again: closes batch
+        q.push(req(3, 0, 1, 3.0, None), 3, 1.0);
+        let none = PaddingModel::none();
+        assert_eq!(ids(&q.take_batch(0, 4, &none, &unbound).0), vec![0, 1]);
+        assert_eq!(ids(&q.take_batch(0, 4, &none, &unbound).0), vec![2, 3]);
+    }
+
+    #[test]
+    fn batch_closes_at_an_affinity_conflict_and_reports_the_pin() {
+        let mut q = SchedQueue::new(QueueDiscipline::Fifo);
+        q.push(chunk(0, 7, 0.0), 0, 1.0); // bound to device 1
+        q.push(req(1, 0, 1, 0.5, None), 1, 1.0); // utterances ride along freely
+        q.push(chunk(2, 8, 1.0), 2, 1.0); // bound to device 0: conflict
+        let bind = |s: u64| Some(if s == 7 { 1 } else { 0 });
+        let none = PaddingModel::none();
+        let (first, pinned) = q.take_batch(0, 4, &none, &bind);
+        assert_eq!((ids(&first), pinned), (vec![0, 1], Some(1)));
+        let (second, pinned) = q.take_batch(0, 4, &none, &bind);
+        assert_eq!((ids(&second), pinned), (vec![2], Some(0)));
     }
 
     /// The pre-index implementation, verbatim: a `(key, seq)`-sorted vec
@@ -563,15 +601,15 @@ mod tests {
                 assert_eq!(indexed.count_model(model), scan.count_model(model));
                 assert_eq!(indexed.oldest_arrival_us(), scan.oldest_arrival_us());
                 let max_batch = 1 + (rand() % 16) as usize;
-                let a = indexed.take_batch(model, max_batch, &padding, &affinity);
+                let (a_batch, a_pinned) = indexed.take_batch(model, max_batch, &padding, &affinity);
                 let (b_batch, b_pinned) = scan.take_batch(model, max_batch, &padding, &affinity);
                 assert_eq!(
-                    a.batch.iter().map(|r| r.id).collect::<Vec<_>>(),
+                    a_batch.iter().map(|r| r.id).collect::<Vec<_>>(),
                     b_batch.iter().map(|r| r.id).collect::<Vec<_>>(),
                     "{discipline:?} batch diverged at {} remaining",
                     scan.items.len()
                 );
-                assert_eq!(a.pinned, b_pinned);
+                assert_eq!(a_pinned, b_pinned);
                 if rand() % 3 == 0 {
                     let r = req(seq, (rand() % 3) as usize, 4, (rand() % 100) as f64, None);
                     indexed.push(r.clone(), seq, 1.0);

@@ -1,17 +1,16 @@
 //! The SLO-aware multi-model scheduling event loop.
 //!
-//! [`SchedRuntime`] is the multi-model, heterogeneous-pool counterpart of
-//! [`ServeRuntime`](crate::ServeRuntime). The event loop structure is the
-//! same — arrivals advance a virtual clock, formed batches land on
-//! simulated devices, host inference rides an [`Executor`] — but every
-//! decision point is replaced by a scheduler component:
+//! [`SchedRuntime`] is the crate's one serving event loop: arrivals
+//! advance a virtual clock, formed batches land on simulated devices,
+//! and host inference rides an [`Executor`]. Every decision point is a
+//! scheduler component:
 //!
-//! * the FIFO batcher becomes a [`SchedQueue`] (EDF or FIFO) with
-//!   per-model, padding-gated batch formation;
-//! * earliest-free placement becomes a choice between
-//!   [`Placement::EarliestFree`] and [`Placement::CostModel`], the latter
-//!   minimizing predicted finish time — device ready time, residency
-//!   load stalls, and per-(device, model) [`StageCycles`] included;
+//! * a [`SchedQueue`] (EDF or FIFO) with per-model, padding-gated batch
+//!   formation under a max-batch / max-wait dial;
+//! * placement by [`Placement::EarliestFree`] or [`Placement::CostModel`],
+//!   the latter minimizing predicted finish time — device ready time,
+//!   residency load stalls, and per-(device, model) [`StageCycles`]
+//!   included;
 //! * every dispatch goes through per-device [`DeviceResidency`]: a cold
 //!   model stalls the device for its weight-streaming time and may evict
 //!   colder tenants;
@@ -35,8 +34,8 @@
 //! [`SchedStats::admission_log`], and `tests/sched_edf.rs` asserts the
 //! shed set is exactly the predicted-late set.
 //!
-//! Virtual-time determinism holds exactly as for the single-model
-//! runtime: all scheduling decisions live on the virtual clock, so
+//! Virtual time and the wall clock stay strictly apart: all scheduling
+//! decisions live on the virtual clock, so
 //! responses, metrics, and [`SchedStats`] are bit-identical across
 //! [`ExecutorKind::Inline`] and [`ExecutorKind::ThreadPool`].
 //!
@@ -84,7 +83,7 @@ use crate::executor::{
 };
 use crate::health::{HealthMonitor, HealthReport};
 use crate::metrics::ServeMetrics;
-use crate::request::{validate_sessions, Request, Response, ShedReason, Workload};
+use crate::request::{validate_sessions, validate_times, Request, Response, ShedReason, Workload};
 use crate::timeline::{MetricsTimeline, Timeline, TimelineProbe};
 use crate::trace::{Observer, RunTrace, TraceConfig};
 use ernn_fft::stats::FftStats;
@@ -99,7 +98,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Placement {
     /// Lowest `free_at` wins (ties to the lowest index) — blind to
-    /// platform speed and residency; the single-model runtime's policy.
+    /// platform speed and residency.
     EarliestFree,
     /// Minimize predicted finish: `max(now, free_at) + cold-load stall +
     /// estimated service` per eligible device (ties to the lowest index).
@@ -120,8 +119,8 @@ pub enum SchedConfigError {
     NoDevices,
     /// `max_batch` is zero.
     ZeroMaxBatch,
-    /// `max_wait_us` is negative.
-    NegativeMaxWait,
+    /// `max_wait_us` is NaN, infinite or negative.
+    MaxWaitOutOfRange,
     /// A registered model's weight image exceeds every device's BRAM
     /// budget — no placement could ever dispatch it.
     ModelFitsNoDevice {
@@ -146,7 +145,9 @@ impl fmt::Display for SchedConfigError {
             SchedConfigError::EmptyRegistry => write!(f, "registry needs at least one model"),
             SchedConfigError::NoDevices => write!(f, "need at least one device"),
             SchedConfigError::ZeroMaxBatch => write!(f, "max_batch must be at least 1"),
-            SchedConfigError::NegativeMaxWait => write!(f, "max_wait_us must be ≥ 0"),
+            SchedConfigError::MaxWaitOutOfRange => {
+                write!(f, "max_wait_us must be finite and ≥ 0")
+            }
             SchedConfigError::ModelFitsNoDevice { model, name } => {
                 write!(f, "model {model} ({name}) fits no device's BRAM budget")
             }
@@ -333,6 +334,15 @@ pub struct SchedReport {
     pub health: HealthReport,
 }
 
+impl SchedReport {
+    /// Total host FFT activity across all executor workers.
+    pub fn host_fft(&self) -> FftStats {
+        self.worker_fft
+            .iter()
+            .fold(FftStats::default(), |acc, w| acc.plus(w))
+    }
+}
+
 /// A timed arrival in the event queue (min-heap by time, then sequence).
 struct Arrival {
     t_us: f64,
@@ -405,11 +415,9 @@ impl SchedRuntime {
     }
 
     /// A scheduler with a full [`RuntimeConfig`] — the one constructor
-    /// the others delegate to, shared in shape with
-    /// [`ServeRuntime::with_config`](crate::ServeRuntime::with_config).
-    /// Unlike the single-model runtime, an over-cap streaming load does
-    /// not panic here: first chunks beyond
-    /// [`RuntimeConfig::max_live_sessions`] are shed at admission.
+    /// the others delegate to. An over-cap streaming load does not
+    /// panic: first chunks beyond [`RuntimeConfig::max_live_sessions`]
+    /// are shed at admission.
     ///
     /// # Panics
     ///
@@ -448,8 +456,8 @@ impl SchedRuntime {
         if policy.max_batch < 1 {
             return Err(SchedConfigError::ZeroMaxBatch);
         }
-        if policy.max_wait_us.is_nan() || policy.max_wait_us < 0.0 {
-            return Err(SchedConfigError::NegativeMaxWait);
+        if !(policy.max_wait_us.is_finite() && policy.max_wait_us >= 0.0) {
+            return Err(SchedConfigError::MaxWaitOutOfRange);
         }
         if let Some(device) = config.fault_plan.max_device() {
             if device >= platforms.len() {
@@ -526,7 +534,8 @@ impl SchedRuntime {
     /// # Panics
     ///
     /// Panics if any request names an unregistered model, has no frames,
-    /// or disagrees with its model's input dimension.
+    /// disagrees with its model's input dimension, or carries a
+    /// non-finite arrival time or deadline.
     pub fn run(&self, requests: Vec<Request>) -> SchedReport {
         validate_sessions(&requests);
         let mut heap = BinaryHeap::with_capacity(requests.len());
@@ -589,6 +598,7 @@ impl SchedRuntime {
     }
 
     fn validate(&self, request: &Request) {
+        validate_times(request);
         assert!(
             request.model < self.registry.len(),
             "request {} targets unregistered model {}",
@@ -938,7 +948,7 @@ impl SchedRuntime {
         if max_batch < self.policy.max_batch {
             state.stats.degraded_batches += 1;
         }
-        let taken = {
+        let (batch, pinned) = {
             // Disjoint field borrows: formation mutates the queue while
             // the affinity closure reads the session table.
             let sessions = &state.sessions;
@@ -947,7 +957,6 @@ impl SchedRuntime {
                 .queue
                 .take_batch(model, max_batch, &self.policy.padding, &affinity)
         };
-        let batch = taken.batch;
         debug_assert!(!batch.is_empty(), "head model yields a non-empty batch");
         let frame_counts: Vec<u64> = batch.iter().map(|r| r.num_frames() as u64).collect();
         let total_frames: u64 = frame_counts.iter().sum();
@@ -957,7 +966,7 @@ impl SchedRuntime {
         // bound session must run where that session's state lives. A
         // crashed device's free time sits at its recovery point, so
         // placement steers around outages on its own.
-        let device = taken.pinned.or_else(|| match self.policy.placement {
+        let device = pinned.or_else(|| match self.policy.placement {
             Placement::EarliestFree => (0..self.platforms.len())
                 .filter(|&d| self.eligible(d, model))
                 .min_by(|&a, &b| {
@@ -1528,7 +1537,8 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
     /// # Panics
     ///
     /// Panics if the request fails [`SchedRuntime`] validation
-    /// (unregistered model, empty frames, dimension mismatch).
+    /// (unregistered model, empty frames, dimension mismatch, non-finite
+    /// arrival or deadline).
     pub(crate) fn offer(&mut self, request: Request) {
         self.rt.validate(&request);
         self.state.arrivals.push(Arrival {
@@ -1688,8 +1698,8 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
     /// [`SchedRuntime::run`], verbatim.
     pub(crate) fn finish(mut self) -> SchedReport {
         // Stitch host-side logits into the served responses (shed
-        // responses own no job slots) before metrics, exactly like the
-        // single-model runtime.
+        // responses own no job slots) before metrics, so throughput_fps
+        // (frames from logits) is identical for every executor.
         let exec_report = self.executor.finish();
         for (slot, logits) in exec_report.outputs {
             debug_assert!(
@@ -2397,6 +2407,50 @@ mod tests {
             SchedPolicy::edf_cost_model(1, 0.0),
         );
         let _ = rt.run(vec![Request::new(0, vec![vec![0.0; 3]], 0.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite arrival time or deadline")]
+    fn rejects_a_nan_arrival_instead_of_dropping_it() {
+        let rt = SchedRuntime::new(
+            registry(),
+            vec![XCKU060],
+            SchedPolicy::fifo_earliest_free(4, 50.0),
+        );
+        let frames = || vec![vec![0.0; DIM]; 2];
+        let _ = rt.run(vec![
+            Request::new(0, frames(), f64::NAN),
+            Request::new(1, frames(), -5.0),
+            Request::new(2, frames(), 3.0),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite arrival time or deadline")]
+    fn rejects_a_nan_deadline() {
+        let rt = SchedRuntime::new(
+            registry(),
+            vec![XCKU060],
+            SchedPolicy::edf_cost_model(4, 50.0),
+        );
+        let _ = rt.run(vec![
+            Request::new(0, vec![vec![0.0; DIM]], 0.0).with_deadline(f64::NAN)
+        ]);
+    }
+
+    #[test]
+    fn try_with_config_rejects_a_non_finite_max_wait() {
+        for wait in [f64::INFINITY, f64::NAN, -1.0] {
+            let err = SchedRuntime::try_with_config(
+                registry(),
+                vec![XCKU060],
+                SchedPolicy::fifo_earliest_free(4, wait),
+                RuntimeConfig::new(),
+            )
+            .unwrap_err();
+            assert_eq!(err, SchedConfigError::MaxWaitOutOfRange, "wait {wait}");
+            assert_eq!(err.to_string(), "max_wait_us must be finite and ≥ 0");
+        }
     }
 
     // ----- fault injection, failover, and migration -----

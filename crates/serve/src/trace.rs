@@ -28,9 +28,9 @@
 //! Exporters turn a captured [`RunTrace`] into standard tooling formats:
 //! [`chrome_trace_json`] renders a Chrome trace-event document loadable
 //! in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`, and
-//! [`prometheus_snapshot`] / [`prometheus_snapshot_full`] render a
-//! Prometheus text-exposition snapshot (the full form additionally
-//! merges [`SchedStats`], the newest
+//! [`prometheus_snapshot_full`] renders a Prometheus text-exposition
+//! snapshot of the run metrics and attribution, optionally merging
+//! [`SchedStats`], the newest
 //! [`Timeline`] sample, and the
 //! [`HealthReport`]). The [`analyze`]
 //! submodule reconstructs per-request critical paths from a captured
@@ -123,7 +123,7 @@ pub enum TraceEvent {
         /// The deadline the estimate overshot (µs).
         deadline_us: f64,
     },
-    /// A request entered the scheduling queue (or single-model batcher).
+    /// A request entered the scheduling queue.
     Enqueue {
         /// Virtual time (µs).
         t_us: f64,
@@ -832,7 +832,6 @@ impl StageAttribution {
 
 /// Everything observability captured for one run: the event journal plus
 /// the stage-time attribution table. Carried on
-/// [`ServeReport`](crate::ServeReport) and
 /// [`SchedReport`](crate::sched::SchedReport); derived `PartialEq` is
 /// what the executor bit-identity assertions compare.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -846,8 +845,7 @@ pub struct RunTrace {
 
 /// The event-loop side of observability: owns one run's recorder and
 /// attribution table and translates lifecycle moments into
-/// [`TraceEvent`]s, so both runtimes emit an identical event vocabulary
-/// from one code path.
+/// [`TraceEvent`]s from one code path.
 pub(crate) struct Observer {
     recorder: FlightRecorder,
     attribution: StageAttribution,
@@ -1594,15 +1592,6 @@ pub fn chrome_trace_json(trace: &RunTrace) -> String {
     out
 }
 
-/// Renders run metrics plus attribution as a Prometheus text-exposition
-/// snapshot (counters, two histograms, per-cell stage gauges).
-///
-/// Equivalent to [`prometheus_snapshot_full`] with no scheduler stats,
-/// timeline, health report, or shard gauges.
-pub fn prometheus_snapshot(metrics: &ServeMetrics, trace: &RunTrace) -> String {
-    prometheus_snapshot_full(metrics, trace, None, None, None, None)
-}
-
 /// Per-shard point-in-time gauges for the cluster-scope Prometheus
 /// export: one row per shard in a
 /// [`ClusterReport`](crate::cluster::ClusterReport), rendered by
@@ -1622,8 +1611,9 @@ pub struct ShardGauges {
     pub live_sessions: usize,
 }
 
-/// The full Prometheus snapshot: everything [`prometheus_snapshot`]
-/// renders, plus (when given) the scheduler's
+/// Renders run metrics plus attribution as a Prometheus text-exposition
+/// snapshot (counters, two histograms, per-cell stage gauges), plus
+/// (when given) the scheduler's
 /// [`SchedStats`] counters — residency,
 /// session-state, fault, retry, failover, and migration activity — the
 /// newest [`Timeline`] sample as point-in-time
@@ -2276,7 +2266,7 @@ mod tests {
                 aborted_us: 0.0,
             },
         );
-        let text = prometheus_snapshot(&metrics, &trace);
+        let text = prometheus_snapshot_full(&metrics, &trace, None, None, None, None);
         assert!(text.contains("ernn_requests_completed_total 1"));
         assert!(text.contains("ernn_latency_us_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("ernn_latency_us_count 1"));

@@ -137,6 +137,24 @@ fn single_shard_cluster_matches_bare_scheduler() {
     assert_eq!(report.stats.replications, 0);
 }
 
+/// A NaN arrival is rejected up front, exactly as a direct scheduler
+/// run rejects it, instead of sorting past every horizon and vanishing
+/// from the report.
+#[test]
+#[should_panic(expected = "non-finite arrival time or deadline")]
+fn cluster_rejects_a_nan_arrival() {
+    let mut requests = mixed_load(4, 0, 2);
+    requests[1].arrival_us = f64::NAN;
+    let cluster = ClusterRuntime::new(
+        spec(),
+        vec![vec![XCKU060]; 2],
+        policy(),
+        RuntimeConfig::new(),
+        ClusterConfig::new(),
+    );
+    let _ = cluster.run(requests);
+}
+
 /// Four single-device shards: the shard index *is* the device index,
 /// so a response's device tells us which shard served it.
 fn four_shard_cluster(shard_faults: FaultPlan, executor: ExecutorKind) -> ClusterRuntime {

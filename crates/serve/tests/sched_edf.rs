@@ -77,9 +77,7 @@ proptest! {
         }
         while let Some(head) = queue.head() {
             let model = head.model;
-            let batch = queue
-                .take_batch(model, max_batch, &padding, &unbound)
-                .batch;
+            let (batch, _) = queue.take_batch(model, max_batch, &padding, &unbound);
             prop_assert!(!batch.is_empty(), "head model always yields a batch");
             prop_assert!(batch.iter().all(|r| r.model == model));
             // Within the batch, deadlines are non-decreasing…
@@ -96,7 +94,7 @@ proptest! {
             let mut remaining_min = f64::INFINITY;
             while let Some(h) = queue.head() {
                 let m = h.model;
-                for r in queue.take_batch(m, usize::MAX, &PaddingModel::none(), &unbound).batch {
+                for r in queue.take_batch(m, usize::MAX, &PaddingModel::none(), &unbound).0 {
                     if r.model == model {
                         remaining_min = remaining_min.min(key(&r));
                     }
@@ -107,7 +105,7 @@ proptest! {
             // Put everything back for the next round.
             while let Some(h) = probe.head() {
                 let m = h.model;
-                for r in probe.take_batch(m, usize::MAX, &PaddingModel::none(), &unbound).batch {
+                for r in probe.take_batch(m, usize::MAX, &PaddingModel::none(), &unbound).0 {
                     let seq = r.id;
                     queue.push(r, seq, 1.0);
                 }

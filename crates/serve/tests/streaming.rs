@@ -18,10 +18,7 @@ use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
 use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn_serve::loadgen::{open_loop_sessions, synthetic_utterances, SessionLoad};
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
-use ernn_serve::{
-    BatchPolicy, CompiledModel, ExecutorKind, Request, RuntimeConfig, ServeRuntime, TraceConfig,
-    Workload,
-};
+use ernn_serve::{CompiledModel, ExecutorKind, Request, RuntimeConfig, TraceConfig, Workload};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -34,6 +31,38 @@ fn compiled(seed: u64, cell: CellType, hidden: usize) -> CompiledModel {
         .build(&mut rng);
     let net = compress_network(&dense, BlockPolicy::uniform(4));
     CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060)
+}
+
+/// `model` alone on `devices` identical devices under FIFO batching.
+fn single_model(
+    model: &CompiledModel,
+    devices: usize,
+    policy: SchedPolicy,
+    config: RuntimeConfig,
+) -> SchedRuntime {
+    let mut registry = ModelRegistry::new();
+    registry.register_shared("model", std::sync::Arc::new(model.clone()));
+    SchedRuntime::with_config(registry, vec![XCKU060; devices], policy, config)
+}
+
+/// Stitches session `s`'s chunk logits in chunk order, asserting every
+/// chunk ran on one device (session state never migrates).
+fn stitched(responses: &[ernn_serve::Response], s: u64) -> Vec<Vec<f32>> {
+    let mut chunks: Vec<_> = responses
+        .iter()
+        .filter(|r| r.workload.session() == Some(s))
+        .collect();
+    chunks.sort_by_key(|r| r.id);
+    assert!(
+        chunks
+            .iter()
+            .all(|r| r.device.is_some() && r.device == chunks[0].device),
+        "session {s} left its device"
+    );
+    chunks
+        .iter()
+        .flat_map(|r| r.logits.iter().cloned())
+        .collect()
 }
 
 /// Splits `utt` into chunks whose sizes cycle through `sizes`, arriving
@@ -68,9 +97,9 @@ fn chunk_requests(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Chunked streaming through the single-model runtime reproduces the
-    /// whole-utterance logits bit-exactly, for arbitrary chunkings, on
-    /// both executors.
+    /// Chunked streaming through a one-model FIFO scheduler reproduces
+    /// the whole-utterance logits bit-exactly, for arbitrary chunkings,
+    /// on both executors, with every chunk on its session's device.
     #[test]
     fn chunked_streaming_matches_whole_utterance_logits(
         seed in 0u64..1000,
@@ -92,25 +121,16 @@ proptest! {
             ));
         }
         let exec = if exec_pool == 1 { ExecutorKind::ThreadPool } else { ExecutorKind::Inline };
-        let rt = ServeRuntime::with_config(
-            model.clone(),
+        let rt = single_model(
+            &model,
             devices,
-            BatchPolicy::new(4, 60.0),
+            SchedPolicy::fifo_earliest_free(4, 60.0),
             RuntimeConfig::new().executor(exec),
         );
         let report = rt.run(requests);
         for (s, utt) in utts.iter().enumerate() {
-            let mut chunks: Vec<_> = report
-                .responses
-                .iter()
-                .filter(|r| r.workload.session() == Some(s as u64))
-                .collect();
-            chunks.sort_by_key(|r| r.id);
-            let stitched: Vec<Vec<f32>> = chunks
-                .iter()
-                .flat_map(|r| r.logits.iter().cloned())
-                .collect();
-            prop_assert_eq!(&stitched, &model.infer(utt), "session {}", s);
+            let got = stitched(&report.responses, s as u64);
+            prop_assert_eq!(&got, &model.infer(utt), "session {}", s);
         }
     }
 
@@ -181,26 +201,16 @@ fn mixed_streaming_and_utterance_traffic_stays_bit_exact() {
             40.0 + 90.0 * i as f64,
         ));
     }
-    let rt = ServeRuntime::with_config(
-        model.clone(),
+    let rt = single_model(
+        &model,
         2,
-        BatchPolicy::new(3, 100.0),
+        SchedPolicy::fifo_earliest_free(3, 100.0),
         RuntimeConfig::new()
             .executor(ExecutorKind::ThreadPool)
             .max_live_sessions(4),
     );
     let report = rt.run(requests);
-    let mut chunks: Vec<_> = report
-        .responses
-        .iter()
-        .filter(|r| matches!(r.workload, Workload::Chunk { .. }))
-        .collect();
-    chunks.sort_by_key(|r| r.id);
-    let stitched: Vec<Vec<f32>> = chunks
-        .iter()
-        .flat_map(|r| r.logits.iter().cloned())
-        .collect();
-    assert_eq!(stitched, model.infer(&utts[0]));
+    assert_eq!(stitched(&report.responses, 0), model.infer(&utts[0]));
     for (i, utt) in utts[1..].iter().enumerate() {
         let r = report
             .responses
@@ -210,5 +220,9 @@ fn mixed_streaming_and_utterance_traffic_stays_bit_exact() {
         assert_eq!(r.logits, model.infer(utt));
     }
     assert_eq!(report.metrics.sessions, 1);
-    assert_eq!(report.metrics.chunks, chunks.len());
+    let chunks = report
+        .responses
+        .iter()
+        .filter(|r| matches!(r.workload, Workload::Chunk { .. }));
+    assert_eq!(report.metrics.chunks, chunks.count());
 }
