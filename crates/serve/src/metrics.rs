@@ -142,8 +142,8 @@ pub struct ServeMetrics {
     /// Fraction of deadline-carrying requests that missed (served misses
     /// plus shed).
     pub deadline_miss_rate: f64,
-    /// Per-model breakdown, keyed by model id. Single-model runtimes
-    /// report one entry under key `0`.
+    /// Per-model breakdown, keyed by model id. A one-model registry
+    /// reports one entry under key `0`.
     pub per_model: BTreeMap<usize, ModelMetrics>,
 }
 

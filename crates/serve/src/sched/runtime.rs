@@ -2438,21 +2438,6 @@ mod tests {
         ]);
     }
 
-    #[test]
-    fn try_with_config_rejects_a_non_finite_max_wait() {
-        for wait in [f64::INFINITY, f64::NAN, -1.0] {
-            let err = SchedRuntime::try_with_config(
-                registry(),
-                vec![XCKU060],
-                SchedPolicy::fifo_earliest_free(4, wait),
-                RuntimeConfig::new(),
-            )
-            .unwrap_err();
-            assert_eq!(err, SchedConfigError::MaxWaitOutOfRange, "wait {wait}");
-            assert_eq!(err.to_string(), "max_wait_us must be finite and ≥ 0");
-        }
-    }
-
     // ----- fault injection, failover, and migration -----
 
     use crate::config::RetryPolicy;
@@ -2476,6 +2461,19 @@ mod tests {
             SchedRuntime::try_with_config(registry(), Vec::new(), policy(), RuntimeConfig::new())
                 .unwrap_err();
         assert_eq!(err, SchedConfigError::NoDevices);
+
+        // An infinite wait would flush nothing and shed every request.
+        for wait in [f64::INFINITY, f64::NAN, -1.0] {
+            let err = SchedRuntime::try_with_config(
+                registry(),
+                vec![XCKU060],
+                SchedPolicy::fifo_earliest_free(4, wait),
+                RuntimeConfig::new(),
+            )
+            .unwrap_err();
+            assert_eq!(err, SchedConfigError::MaxWaitOutOfRange, "wait {wait}");
+            assert_eq!(err.to_string(), "max_wait_us must be finite and ≥ 0");
+        }
 
         let err = SchedRuntime::try_with_config(
             registry(),
