@@ -12,8 +12,8 @@ use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances, with_uniform_slo};
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedReport, SchedRuntime};
 use ernn_serve::{
-    CompiledModel, ExecutorKind, HealthConfig, Request, Response, RuntimeConfig, TimelineConfig,
-    TraceConfig, TraceEvent,
+    CompiledModel, ExecutorKind, HealthConfig, Request, Response, RuntimeConfig, ShedReason,
+    TimelineConfig, TraceConfig, TraceEvent,
 };
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -83,6 +83,71 @@ fn all_requests_complete_exactly_once() {
         assert!(r.dispatch_us >= r.arrival_us);
         assert!(!r.logits.is_empty());
     }
+}
+
+#[test]
+fn run_is_deterministic() {
+    let rt = serve(2, 4, 50.0, RuntimeConfig::new());
+    let a = rt.run(load(40, 80_000.0));
+    let b = rt.run(load(40, 80_000.0));
+    assert_reports_identical(&a, &b);
+}
+
+#[test]
+fn default_executor_is_inline() {
+    let rt = serve(1, 1, 0.0, RuntimeConfig::new());
+    assert_eq!(rt.executor_kind(), ExecutorKind::Inline);
+    assert_eq!(ExecutorKind::default(), ExecutorKind::Inline);
+}
+
+#[test]
+#[should_panic(expected = "frame dimension")]
+fn rejects_mismatched_frame_dimension() {
+    let _ =
+        serve(1, 1, 0.0, RuntimeConfig::new()).run(vec![Request::new(0, vec![vec![0.0; 3]], 0.0)]);
+}
+
+#[test]
+fn session_limit_sheds_overcommitted_loads() {
+    // Two interleaved sessions under a one-session cap: session 0 is
+    // served whole, session 1 is shed at its first chunk and its later
+    // chunk is cancelled with it.
+    let frames = || vec![vec![0.0f32; DIM]; 2];
+    let report = serve(1, 1, 0.0, RuntimeConfig::new().max_live_sessions(1)).run(vec![
+        Request::chunk(0, 0, 0, false, frames(), 0.0),
+        Request::chunk(1, 1, 0, false, frames(), 1.0),
+        Request::chunk(2, 0, 1, true, frames(), 2.0),
+        Request::chunk(3, 1, 1, true, frames(), 3.0),
+    ]);
+    assert_eq!(report.responses.len(), 4);
+    let reason = |id| {
+        let r = report.responses.iter().find(|r| r.id == id).unwrap();
+        (r.shed, r.shed_reason)
+    };
+    assert_eq!(reason(0), (false, None));
+    assert_eq!(reason(2), (false, None));
+    assert_eq!(reason(1), (true, Some(ShedReason::SessionLimit)));
+    assert_eq!(reason(3), (true, Some(ShedReason::SessionCancelled)));
+}
+
+#[test]
+fn forming_batch_dispatches_when_full_or_flushed() {
+    // Max batch 2, 50 µs wait. A lone request forms a batch that the
+    // second arrival fills, so both leave at the fill time; the next
+    // lone request waits out its budget and leaves as a singleton.
+    let frames = || vec![vec![0.0f32; DIM]; 2];
+    let report = serve(1, 2, 50.0, RuntimeConfig::new()).run(vec![
+        Request::new(0, frames(), 10.0),
+        Request::new(1, frames(), 11.0),
+        Request::new(2, frames(), 500.0),
+    ]);
+    let dispatch = |id| {
+        let r = report.responses.iter().find(|r| r.id == id).unwrap();
+        (r.dispatch_us, r.batch_size)
+    };
+    assert_eq!(dispatch(0), (11.0, 2));
+    assert_eq!(dispatch(1), (11.0, 2));
+    assert_eq!(dispatch(2), (550.0, 1));
 }
 
 #[test]
