@@ -164,9 +164,9 @@ fn run(requests: &[Request], plan: &FaultPlan, failover: bool, exec: ExecutorKin
         RuntimeConfig::new()
             .executor(exec)
             .fault_plan(plan.clone())
-            .failover(failover),
+            .failover(failover)
+            .tracing(TraceConfig::enabled(1 << 15)),
     )
-    .with_tracing(TraceConfig::enabled(1 << 15))
     .run(requests.to_vec())
 }
 

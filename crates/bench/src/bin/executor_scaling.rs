@@ -13,7 +13,7 @@ use ernn_fpga::XCKU060;
 use ernn_model::{CellType, ModelSpec};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
-use ernn_serve::ExecutorKind;
+use ernn_serve::{ExecutorKind, RuntimeConfig};
 use rand::SeedableRng;
 
 fn main() {
@@ -63,8 +63,12 @@ fn main() {
         for kind in [ExecutorKind::Inline, ExecutorKind::ThreadPool] {
             let mut registry = ModelRegistry::new();
             registry.register_shared("gru-64", std::sync::Arc::clone(&model));
-            let runtime =
-                SchedRuntime::with_executor(registry, vec![XCKU060; devices], policy, kind);
+            let runtime = SchedRuntime::with_config(
+                registry,
+                vec![XCKU060; devices],
+                policy,
+                RuntimeConfig::new().executor(kind),
+            );
             let report = runtime.run(requests.clone());
             let m = &report.metrics;
             let label = match kind {

@@ -1,42 +1,36 @@
-//! Process-wide FFT invocation counters.
+//! Per-thread FFT work ledger.
 //!
 //! The serving runtime's weight-spectrum cache (see `ernn-serve`) claims
 //! that block-circulant weight FFTs run once per model load rather than
 //! once per request. These counters make that claim *observable*: plan
-//! construction and forward/inverse transform invocations are counted
-//! globally (relaxed atomics, negligible cost), so a test or a demo can
-//! snapshot the counters around a serving run and show that only
-//! input-side transforms grow with request count.
+//! construction, plan-cache hits, forward/inverse transform invocations
+//! and weight-spectrum block reads are counted in **thread-local**
+//! cells, one plain add per event, with no shared state between threads.
 //!
-//! Counters are process-global and monotonically increasing; consumers
-//! should compare [`FftStats`] snapshots rather than absolute values, and
-//! tests that assert exact deltas must not run concurrently with other
-//! FFT-using tests in the same process.
+//! A delta between two [`thread_snapshot`] calls on the same thread is
+//! therefore *exact*: it counts the FFT work that thread did in between,
+//! whatever other threads are doing, so exact-delta assertions are safe
+//! in multi-threaded test binaries. Counters are monotonically
+//! increasing; compare [`FftStats`] snapshots rather than absolute
+//! values.
 //!
-//! Every increment is mirrored into a **thread-local** counter set
-//! ([`thread_snapshot`]). Unlike the globals, a thread-local delta is
-//! immune to concurrent FFT users on other threads, so a parallel host
-//! executor (see `ernn-serve`) can attribute FFT work to individual
-//! workers exactly: the per-worker deltas always sum to the global delta.
+//! Work done on other threads is summed explicitly: each host executor
+//! worker in `ernn-serve` reports its own delta for a run, and the
+//! serving report folds them with [`FftStats::plus`] (`host_fft`).
+//! Compilation runs on the caller's thread, so a load's delta is exact
+//! too.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static PLANS_CREATED: AtomicU64 = AtomicU64::new(0);
-static PLAN_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static FORWARD_TRANSFORMS: AtomicU64 = AtomicU64::new(0);
-static INVERSE_TRANSFORMS: AtomicU64 = AtomicU64::new(0);
-static SPECTRUM_BLOCK_READS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    static TL_PLANS_CREATED: Cell<u64> = const { Cell::new(0) };
-    static TL_PLAN_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
-    static TL_FORWARD_TRANSFORMS: Cell<u64> = const { Cell::new(0) };
-    static TL_INVERSE_TRANSFORMS: Cell<u64> = const { Cell::new(0) };
-    static TL_SPECTRUM_BLOCK_READS: Cell<u64> = const { Cell::new(0) };
+    static PLANS_CREATED: Cell<u64> = const { Cell::new(0) };
+    static PLAN_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
+    static FORWARD_TRANSFORMS: Cell<u64> = const { Cell::new(0) };
+    static INVERSE_TRANSFORMS: Cell<u64> = const { Cell::new(0) };
+    static SPECTRUM_BLOCK_READS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// A snapshot of the process-wide FFT counters.
+/// A snapshot of one thread's FFT counters (or a sum of such deltas).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FftStats {
     /// [`crate::FftPlan`] / [`crate::RealFft`] constructions.
@@ -85,51 +79,35 @@ impl FftStats {
     }
 }
 
-/// Takes a snapshot of the counters.
-pub fn snapshot() -> FftStats {
-    FftStats {
-        plans_created: PLANS_CREATED.load(Ordering::Relaxed),
-        plan_cache_hits: PLAN_CACHE_HITS.load(Ordering::Relaxed),
-        forward_transforms: FORWARD_TRANSFORMS.load(Ordering::Relaxed),
-        inverse_transforms: INVERSE_TRANSFORMS.load(Ordering::Relaxed),
-        spectrum_block_reads: SPECTRUM_BLOCK_READS.load(Ordering::Relaxed),
-    }
-}
-
 /// Takes a snapshot of the *calling thread's* counters.
 ///
 /// Deltas between two `thread_snapshot` calls on the same thread count
 /// exactly the FFT work that thread performed in between, regardless of
-/// what other threads are doing — so exact-delta assertions are safe even
-/// in multi-threaded test binaries.
+/// what other threads are doing.
 pub fn thread_snapshot() -> FftStats {
     FftStats {
-        plans_created: TL_PLANS_CREATED.get(),
-        plan_cache_hits: TL_PLAN_CACHE_HITS.get(),
-        forward_transforms: TL_FORWARD_TRANSFORMS.get(),
-        inverse_transforms: TL_INVERSE_TRANSFORMS.get(),
-        spectrum_block_reads: TL_SPECTRUM_BLOCK_READS.get(),
+        plans_created: PLANS_CREATED.get(),
+        plan_cache_hits: PLAN_CACHE_HITS.get(),
+        forward_transforms: FORWARD_TRANSFORMS.get(),
+        inverse_transforms: INVERSE_TRANSFORMS.get(),
+        spectrum_block_reads: SPECTRUM_BLOCK_READS.get(),
     }
 }
 
 pub(crate) fn count_plan() {
-    PLANS_CREATED.fetch_add(1, Ordering::Relaxed);
-    TL_PLANS_CREATED.set(TL_PLANS_CREATED.get() + 1);
+    PLANS_CREATED.set(PLANS_CREATED.get() + 1);
 }
 
 pub(crate) fn count_plan_cache_hit() {
-    PLAN_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-    TL_PLAN_CACHE_HITS.set(TL_PLAN_CACHE_HITS.get() + 1);
+    PLAN_CACHE_HITS.set(PLAN_CACHE_HITS.get() + 1);
 }
 
 pub(crate) fn count_forward() {
-    FORWARD_TRANSFORMS.fetch_add(1, Ordering::Relaxed);
-    TL_FORWARD_TRANSFORMS.set(TL_FORWARD_TRANSFORMS.get() + 1);
+    FORWARD_TRANSFORMS.set(FORWARD_TRANSFORMS.get() + 1);
 }
 
 pub(crate) fn count_inverse() {
-    INVERSE_TRANSFORMS.fetch_add(1, Ordering::Relaxed);
-    TL_INVERSE_TRANSFORMS.set(TL_INVERSE_TRANSFORMS.get() + 1);
+    INVERSE_TRANSFORMS.set(INVERSE_TRANSFORMS.get() + 1);
 }
 
 /// Records `n` weight-spectrum block reads.
@@ -141,8 +119,7 @@ pub(crate) fn count_inverse() {
 /// matvec streams the weight spectra once per batch instead of once per
 /// input.
 pub fn count_spectrum_block_reads(n: u64) {
-    SPECTRUM_BLOCK_READS.fetch_add(n, Ordering::Relaxed);
-    TL_SPECTRUM_BLOCK_READS.set(TL_SPECTRUM_BLOCK_READS.get() + n);
+    SPECTRUM_BLOCK_READS.set(SPECTRUM_BLOCK_READS.get() + n);
 }
 
 #[cfg(test)]
@@ -151,23 +128,9 @@ mod tests {
     use crate::RealFft;
 
     #[test]
-    fn counters_track_plan_and_transform_activity() {
-        // Other tests may run concurrently in this process, so assert
-        // monotone growth by at-least the local activity, not equality.
-        let before = snapshot();
-        let rfft = RealFft::new(16);
-        let spec = rfft.forward(&[0.5f32; 16]);
-        let _ = rfft.inverse(&spec);
-        let delta = snapshot().since(&before);
-        assert!(delta.plans_created >= 1, "{delta:?}");
-        assert!(delta.forward_transforms >= 1, "{delta:?}");
-        assert!(delta.inverse_transforms >= 1, "{delta:?}");
-    }
-
-    #[test]
     fn thread_counters_are_exact_under_concurrency() {
         // Thread-local deltas are immune to other tests' FFT activity, so
-        // exact equality is safe here (unlike the global counters above).
+        // exact equality is safe here.
         let before = thread_snapshot();
         let rfft = RealFft::new(8); // size 8 => one extra half plan inside
         let spec = rfft.forward(&[1.0f32; 8]);

@@ -24,6 +24,12 @@ use crate::pe::PeDesign;
 /// (the rest holds the controller, PCIe interface and I/O buffers).
 pub const RESOURCE_BUDGET: f64 = 0.8;
 
+/// Fraction of on-chip BRAM available for weight images. The rest holds
+/// input/output and double buffers, matching the paper's "a block size 8
+/// will be safer in order to allocate certain portion of BRAM for
+/// inputs/outputs".
+pub const WEIGHT_BRAM_BUDGET: f64 = 0.8;
+
 /// The cell type of a hardware RNN layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HwCell {
@@ -152,10 +158,7 @@ impl RnnSpec {
     /// Phase-I step-1 sanity check: does the whole model (plus an I/O
     /// reserve) fit in on-chip BRAM? (Fig. 2, "Fit into FPGA?")
     pub fn fits_in_bram(&self, device: &Device) -> bool {
-        // Keep 20% of BRAM for input/output and double buffers, matching
-        // the paper's "a block size 8 will be safer in order to allocate
-        // certain portion of BRAM for inputs/outputs".
-        self.weight_bytes() as f64 <= device.bram_bytes() as f64 * 0.8
+        self.weight_bytes() as f64 <= device.bram_bytes() as f64 * WEIGHT_BRAM_BUDGET
     }
 
     /// The weight matvecs of one layer with their pipeline stage

@@ -52,7 +52,9 @@ pub mod power;
 pub mod sim;
 pub mod transfer;
 
-pub use accelerator::{AccelReport, Accelerator, HwCell, RnnSpec, StageCycles, RESOURCE_BUDGET};
+pub use accelerator::{
+    AccelReport, Accelerator, HwCell, RnnSpec, StageCycles, RESOURCE_BUDGET, WEIGHT_BRAM_BUDGET,
+};
 pub use artifact::{ModelArtifact, PipelineError};
 pub use device::{Device, ADM_PCIE_7V3, KNOWN_DEVICES, XCKU060};
 pub use fault::{DeviceFault, FaultEvent, FaultHit, FaultPlan, FaultTimeline};

@@ -24,12 +24,9 @@ pub struct LoadStats {
     /// FFT plan constructions and transforms performed during load
     /// (weight-spectrum computation dominates the forward count).
     ///
-    /// Derived from the process-global counters in [`ernn_fft::stats`]:
-    /// FFT activity on *other* threads during compilation leaks into
-    /// this delta, so treat it as diagnostic unless compilation is the
-    /// only FFT user at the time (the per-instance
-    /// [`spectrum_refresh_count`](ernn_linalg::BlockCirculantMatrix::spectrum_refresh_count)
-    /// counters are the race-free cache witness).
+    /// A delta of the calling thread's [`ernn_fft::stats`] ledger:
+    /// compilation runs on that thread, so the count is exact even while
+    /// other threads run FFTs.
     pub fft: FftStats,
     /// Number of block-circulant weight matrices in the model.
     pub circulant_matrices: usize,
@@ -75,7 +72,7 @@ impl CompiledModel {
         datapath: &DatapathConfig,
         device: Device,
     ) -> Self {
-        let before = stats::snapshot();
+        let before = stats::thread_snapshot();
         let qnet = QuantizedNetwork::new(net, datapath);
         Self::finish_load(qnet, datapath.weight_bits, device, before)
     }
@@ -88,7 +85,7 @@ impl CompiledModel {
     /// [`ModelArtifact`] reports the same [`StageCycles`] as its
     /// in-process twin.
     pub fn from_quantized(qnet: QuantizedNetwork, weight_bits: u8, device: Device) -> Self {
-        let before = stats::snapshot();
+        let before = stats::thread_snapshot();
         Self::finish_load(qnet, weight_bits, device, before)
     }
 
@@ -123,7 +120,7 @@ impl CompiledModel {
                     (n + 1, s + p * q)
                 });
         let load_stats = LoadStats {
-            fft: stats::snapshot().since(&before),
+            fft: stats::thread_snapshot().since(&before),
             circulant_matrices,
             cached_spectra,
         };

@@ -18,7 +18,8 @@ use ernn_fpga::fault::FaultPlan;
 /// `abort + backoff(attempt)`; a request that exhausts
 /// [`RetryPolicy::max_attempts`] is shed with
 /// [`ShedReason::CapacityLoss`](crate::ShedReason::CapacityLoss) so no
-/// request is ever silently lost.
+/// request is ever silently lost. The scheduler runs
+/// [`RetryPolicy::default`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Backoff before the first retry (µs).
@@ -70,8 +71,6 @@ pub struct RuntimeConfig {
     /// clock; empty (no faults) by default. See
     /// [`SchedRuntime`](crate::sched::SchedRuntime) for the reactions.
     pub fault_plan: FaultPlan,
-    /// Backoff schedule for batches aborted by a fault.
-    pub retry: RetryPolicy,
     /// Whether streaming sessions pinned to a crashed device fail over
     /// (re-pin, with state migration) to a surviving device. On by
     /// default; turn off to measure the no-failover baseline — chunks
@@ -97,7 +96,6 @@ impl Default for RuntimeConfig {
             trace: TraceConfig::default(),
             max_live_sessions: None,
             fault_plan: FaultPlan::empty(),
-            retry: RetryPolicy::default(),
             failover: true,
             timeline: TimelineConfig::default(),
             health: HealthConfig::default(),
@@ -137,12 +135,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the retry/backoff policy for fault-aborted batches.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Enables or disables crash failover for pinned sessions.
     pub fn failover(mut self, failover: bool) -> Self {
         self.failover = failover;
@@ -179,11 +171,6 @@ mod tests {
             .tracing(TraceConfig::enabled(64))
             .max_live_sessions(8)
             .fault_plan(plan.clone())
-            .retry(RetryPolicy {
-                base_backoff_us: 10.0,
-                max_backoff_us: 100.0,
-                max_attempts: 2,
-            })
             .failover(false)
             .timeline(TimelineConfig::enabled(100.0, 256))
             .health(HealthConfig::enabled());
@@ -191,7 +178,6 @@ mod tests {
         assert!(cfg.trace.is_enabled());
         assert_eq!(cfg.max_live_sessions, Some(8));
         assert_eq!(cfg.fault_plan, plan);
-        assert_eq!(cfg.retry.max_attempts, 2);
         assert!(!cfg.failover);
         assert!(cfg.timeline.is_enabled());
         assert_eq!(cfg.timeline.capacity, 256);
@@ -207,7 +193,6 @@ mod tests {
         assert_eq!(cfg.max_live_sessions, None);
         assert!(cfg.fault_plan.is_empty());
         assert!(cfg.failover);
-        assert_eq!(cfg.retry, RetryPolicy::default());
         assert!(!cfg.timeline.is_enabled());
         assert!(!cfg.health.enabled);
     }

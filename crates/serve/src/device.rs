@@ -5,10 +5,9 @@
 //! streams its utterances' frames back-to-back through the 3-stage
 //! pipeline and the device is busy until the last frame drains.
 //!
-//! The pool carries per-device default [`StageCycles`] (e.g. the
-//! [`StageCycles::xcku060`] / [`StageCycles::virtex7_690t`] presets).
-//! The right timing depends on *which model* a batch carries, so
-//! placement lives in the scheduler's cost model and batches land via
+//! Devices carry no timing of their own: the right [`StageCycles`]
+//! depend on *which model* a batch carries, so placement lives in the
+//! scheduler's cost model and batches land via
 //! [`DevicePool::dispatch_to`], which takes the (device, model) timing
 //! and an optional weight-load setup delay explicitly.
 
@@ -30,10 +29,10 @@ pub struct BatchExecution {
     pub free_us: f64,
 }
 
-/// One simulated accelerator with a private virtual clock.
-#[derive(Debug, Clone)]
+/// One simulated accelerator with a private virtual clock; idle at
+/// time zero by default.
+#[derive(Debug, Clone, Default)]
 pub struct VirtualDevice {
-    stages: StageCycles,
     /// When this device finishes its last accepted batch (µs).
     free_at_us: f64,
     /// Total busy time (µs), including weight-load setup stalls.
@@ -44,21 +43,6 @@ pub struct VirtualDevice {
 }
 
 impl VirtualDevice {
-    /// An idle device with the given default per-frame stage timing.
-    pub fn new(stages: StageCycles) -> Self {
-        VirtualDevice {
-            stages,
-            free_at_us: 0.0,
-            busy_us: 0.0,
-            scratch: BatchTrace::default(),
-        }
-    }
-
-    /// The device's default per-frame stage timing.
-    pub fn stages(&self) -> StageCycles {
-        self.stages
-    }
-
     /// When the device next frees up (µs).
     pub fn free_at_us(&self) -> f64 {
         self.free_at_us
@@ -112,16 +96,15 @@ pub struct DevicePool {
 }
 
 impl DevicePool {
-    /// A pool with per-device stage timing — one entry per device, e.g.
-    /// mixing [`StageCycles::xcku060`] and [`StageCycles::virtex7_690t`].
+    /// A pool of `n` idle devices.
     ///
     /// # Panics
     ///
-    /// Panics if `stages` is empty.
-    pub fn heterogeneous(stages: Vec<StageCycles>) -> Self {
-        assert!(!stages.is_empty(), "device pool needs at least one device");
+    /// Panics if `n` is zero.
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "device pool needs at least one device");
         DevicePool {
-            devices: stages.into_iter().map(VirtualDevice::new).collect(),
+            devices: vec![VirtualDevice::default(); n],
         }
     }
 
@@ -212,13 +195,9 @@ mod tests {
         }
     }
 
-    fn uniform(n: usize) -> DevicePool {
-        DevicePool::heterogeneous(vec![stages(); n])
-    }
-
     #[test]
     fn device_clock_advances_by_batch_makespan() {
-        let mut pool = uniform(1);
+        let mut pool = DevicePool::new(1);
         let exec = pool.dispatch_to(0, 0.0, 0.0, stages(), &[4, 2]);
         assert_eq!(exec.device, 0);
         assert!(exec.free_us > 0.0);
@@ -233,7 +212,7 @@ mod tests {
     #[test]
     fn two_devices_drain_sooner_than_one() {
         let batches: Vec<Vec<u64>> = (0..8).map(|_| vec![5u64]).collect();
-        let (mut one, mut two) = (uniform(1), uniform(2));
+        let (mut one, mut two) = (DevicePool::new(1), DevicePool::new(2));
         for (i, b) in batches.iter().enumerate() {
             one.dispatch_to(0, 0.0, 0.0, stages(), b);
             two.dispatch_to(i % 2, 0.0, 0.0, stages(), b);
@@ -243,7 +222,7 @@ mod tests {
 
     #[test]
     fn busy_time_tracks_executed_work_only() {
-        let mut pool = uniform(2);
+        let mut pool = DevicePool::new(2);
         pool.dispatch_to(0, 0.0, 0.0, stages(), &[3]);
         let d = pool.devices();
         assert!((d[0].busy_us() - pool.drained_at_us()).abs() < 1e-9);
@@ -251,24 +230,12 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_pool_keeps_per_device_timing() {
-        let mut pool = DevicePool::heterogeneous(vec![stages(), fast_stages()]);
-        assert_eq!(pool.devices().len(), 2);
-        assert_eq!(pool.devices()[1].stages().ii(), 50);
-        // Same batch, default timing: the fast device finishes in half
-        // the cycles.
-        let slow = pool.dispatch_to(0, 0.0, 0.0, pool.devices()[0].stages(), &[4]);
-        let fast = pool.dispatch_to(1, 0.0, 0.0, pool.devices()[1].stages(), &[4]);
-        assert!((slow.free_us - 2.0 * fast.free_us).abs() < 1e-9);
-    }
-
-    #[test]
     fn dispatch_to_charges_setup_before_compute() {
-        let mut pool = uniform(1);
+        let mut pool = DevicePool::new(1);
         let cold = pool.dispatch_to(0, 0.0, 7.5, stages(), &[2]);
         // Occupation starts at dispatch; completions shift by the setup.
         assert_eq!(cold.start_us, 0.0);
-        let mut warm_pool = uniform(1);
+        let mut warm_pool = DevicePool::new(1);
         let warm = warm_pool.dispatch_to(0, 0.0, 0.0, stages(), &[2]);
         for (c, w) in cold.complete_us.iter().zip(warm.complete_us.iter()) {
             assert!((c - w - 7.5).abs() < 1e-9);
@@ -283,8 +250,8 @@ mod tests {
     #[test]
     fn dispatch_to_overrides_stage_timing_per_model() {
         // One device, two "models": dispatching with fast stages must
-        // finish sooner than the device default.
-        let mut pool = uniform(1);
+        // finish sooner than with slow ones.
+        let mut pool = DevicePool::new(1);
         let a = pool.dispatch_to(0, 0.0, 0.0, fast_stages(), &[4]);
         let b = pool.dispatch_to(0, a.free_us, 0.0, stages(), &[4]);
         assert!((b.free_us - b.start_us) > (a.free_us - a.start_us));

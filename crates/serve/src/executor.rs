@@ -27,7 +27,7 @@
 //! Logits are a pure function of (model, frames) (`f32` arithmetic, no
 //! reductions across threads), so both executors produce **bit-identical**
 //! outputs; only wall-clock host time differs. Per-worker FFT activity is
-//! tracked exactly via the thread-local counters in [`ernn_fft::stats`].
+//! tracked exactly via the per-thread ledger in [`ernn_fft::stats`].
 
 use crate::cache::CompiledModel;
 use ernn_fft::stats::{self, FftStats};
@@ -86,8 +86,10 @@ pub struct InferenceJob {
 pub struct ExecutorReport {
     /// `(slot, logits)` for every submitted job, in arbitrary order.
     pub outputs: Vec<(usize, Vec<Vec<f32>>)>,
-    /// Host FFT activity per worker ([`InlineExecutor`] has one entry).
-    /// The entries always sum to the run's global FFT delta.
+    /// Host FFT activity per worker ([`InlineExecutor`] has one entry):
+    /// each entry is the exact delta of that worker thread's
+    /// [`ernn_fft::stats`] ledger over the run. Summing them gives the
+    /// run's host FFT work.
     pub worker_fft: Vec<FftStats>,
 }
 

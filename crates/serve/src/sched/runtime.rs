@@ -76,7 +76,7 @@ use super::cost::CostModel;
 use super::queue::{PaddingModel, QueueDiscipline, SchedQueue};
 use super::registry::{ModelId, ModelRegistry};
 use super::residency::{DeviceResidency, ImageKey};
-use crate::config::RuntimeConfig;
+use crate::config::{RetryPolicy, RuntimeConfig};
 use crate::device::DevicePool;
 use crate::executor::{
     Executor, ExecutorKind, InferenceJob, InlineExecutor, SessionSlot, ThreadPoolExecutor,
@@ -85,9 +85,9 @@ use crate::health::{HealthMonitor, HealthReport};
 use crate::metrics::ServeMetrics;
 use crate::request::{validate_sessions, validate_times, Request, Response, ShedReason, Workload};
 use crate::timeline::{MetricsTimeline, Timeline, TimelineProbe};
-use crate::trace::{Observer, RunTrace, TraceConfig};
+use crate::trace::{Observer, RunTrace};
 use ernn_fft::stats::FftStats;
-use ernn_fpga::{Device, FaultTimeline};
+use ernn_fpga::{Device, FaultTimeline, WEIGHT_BRAM_BUDGET};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -179,14 +179,11 @@ pub struct SchedPolicy {
     pub max_wait_us: f64,
     /// When mixing unequal utterance lengths stops paying.
     pub padding: PaddingModel,
-    /// Fraction of each platform's BRAM available for weight images
-    /// (the remainder is reserved for I/O buffers, matching
-    /// `RnnSpec::fits_in_bram`).
-    pub bram_budget_frac: f64,
     /// Optional absolute per-device cap (bytes) on the weight-image
-    /// budget, applied after the fraction — models a deployment that
-    /// reserves a fixed slice of BRAM for weights across heterogeneous
-    /// platforms. `None` leaves the fractional budget alone.
+    /// budget, applied after the [`WEIGHT_BRAM_BUDGET`] fraction —
+    /// models a deployment that reserves a fixed slice of BRAM for
+    /// weights across heterogeneous platforms. `None` leaves the
+    /// fractional budget alone.
     pub bram_budget_bytes: Option<u64>,
 }
 
@@ -202,7 +199,6 @@ impl SchedPolicy {
             max_batch,
             max_wait_us,
             padding: PaddingModel::none(),
-            bram_budget_frac: 0.8,
             bram_budget_bytes: None,
         }
     }
@@ -230,17 +226,6 @@ impl SchedPolicy {
         self
     }
 
-    /// Replaces the BRAM budget fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frac` is outside `(0, 1]`.
-    pub fn with_bram_budget_frac(mut self, frac: f64) -> Self {
-        assert!(frac > 0.0 && frac <= 1.0, "budget fraction in (0, 1]");
-        self.bram_budget_frac = frac;
-        self
-    }
-
     /// Caps every device's weight-image budget at an absolute byte count.
     pub fn with_bram_budget_bytes(mut self, bytes: u64) -> Self {
         self.bram_budget_bytes = Some(bytes);
@@ -249,7 +234,7 @@ impl SchedPolicy {
 
     /// The effective weight-image budget (bytes) on a platform.
     pub fn device_budget_bytes(&self, platform: &Device) -> u64 {
-        let frac = (platform.bram_bytes() as f64 * self.bram_budget_frac) as u64;
+        let frac = (platform.bram_bytes() as f64 * WEIGHT_BRAM_BUDGET) as u64;
         match self.bram_budget_bytes {
             Some(cap) => frac.min(cap),
             None => frac,
@@ -318,8 +303,8 @@ pub struct SchedReport {
     pub host_us: f64,
     /// Host FFT activity per executor worker.
     pub worker_fft: Vec<FftStats>,
-    /// Observability capture: the virtual-time event journal (when the
-    /// runtime was built [`SchedRuntime::with_tracing`]) plus the
+    /// Observability capture: the virtual-time event journal (when
+    /// [`RuntimeConfig::tracing`] enables it) plus the
     /// always-on per-(device, model) stage-time attribution. Entirely
     /// virtual-time-derived, so bit-identical across executors.
     pub trace: RunTrace,
@@ -393,27 +378,6 @@ impl SchedRuntime {
         Self::with_config(registry, platforms, policy, RuntimeConfig::new())
     }
 
-    /// A scheduler with an explicit host executor. Virtual-time results
-    /// (responses, metrics, [`SchedStats`]) are bit-identical across
-    /// executor kinds.
-    ///
-    /// # Panics
-    ///
-    /// See [`Self::new`].
-    pub fn with_executor(
-        registry: ModelRegistry,
-        platforms: Vec<Device>,
-        policy: SchedPolicy,
-        executor: ExecutorKind,
-    ) -> Self {
-        Self::with_config(
-            registry,
-            platforms,
-            policy,
-            RuntimeConfig::new().executor(executor),
-        )
-    }
-
     /// A scheduler with a full [`RuntimeConfig`] — the one constructor
     /// the others delegate to. An over-cap streaming load does not
     /// panic: first chunks beyond [`RuntimeConfig::max_live_sessions`]
@@ -484,29 +448,9 @@ impl SchedRuntime {
         Ok(rt)
     }
 
-    /// Enables (or disables) flight-recorder tracing for every run this
-    /// runtime performs; see [`TraceConfig`]. Tracing never changes
-    /// virtual-time results — it only fills
-    /// [`SchedReport::trace`]'s journal, which is itself bit-identical
-    /// across executor kinds.
-    pub fn with_tracing(mut self, trace: TraceConfig) -> Self {
-        self.config = self.config.tracing(trace);
-        self
-    }
-
     /// The runtime configuration runs execute under.
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
-    }
-
-    /// The tracing configuration runs execute under.
-    pub fn trace_config(&self) -> TraceConfig {
-        self.config.trace
-    }
-
-    /// The host executor strategy this runtime uses.
-    pub fn executor_kind(&self) -> ExecutorKind {
-        self.config.executor
     }
 
     /// The model registry.
@@ -1247,6 +1191,7 @@ impl SchedRuntime {
             state.faults.consume_transient(device, f);
             state.stats.device_transients += 1;
         }
+        let retry = RetryPolicy::default();
         for request in batch {
             let info = state.retries.entry(request.id).or_insert(RetryInfo {
                 attempts: 0,
@@ -1255,12 +1200,12 @@ impl SchedRuntime {
             info.attempts += 1;
             info.last_device = device;
             let attempts = info.attempts;
-            if attempts > self.config.retry.max_attempts {
+            if attempts > retry.max_attempts {
                 state.retries.remove(&request.id);
                 state.stats.retries_exhausted += 1;
                 self.shed_at(state, request, f, ShedReason::CapacityLoss);
             } else {
-                let retry_at = f + self.config.retry.backoff_us(attempts);
+                let retry_at = f + retry.backoff_us(attempts);
                 state.stats.retries_scheduled += 1;
                 state
                     .obs
@@ -1489,11 +1434,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
         let host_start = Instant::now();
         let executor = rt.make_executor();
         let cost = CostModel::build(&rt.platforms, &rt.registry);
-        // Per-device default timing: the first registered model's stages
-        // (only `dispatch_to` is ever used, so this is cosmetic
-        // bookkeeping).
-        let pool =
-            DevicePool::heterogeneous((0..rt.platforms.len()).map(|d| cost.stages(d, 0)).collect());
+        let pool = DevicePool::new(rt.platforms.len());
         let offer_seq = arrivals.len() as u64;
         let state = RunState {
             cost,
@@ -1747,6 +1688,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
 mod tests {
     use super::*;
     use crate::loadgen::{open_loop_poisson, synthetic_utterances};
+    use crate::trace::TraceConfig;
     use crate::CompiledModel;
     use ernn_fpga::exec::DatapathConfig;
     use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
@@ -1872,14 +1814,14 @@ mod tests {
 
     #[test]
     fn tracing_captures_the_request_lifecycle() {
-        use crate::trace::{TraceConfig, TraceEvent};
-        let rt = SchedRuntime::new(
+        use crate::trace::TraceEvent;
+        let rt = SchedRuntime::with_config(
             registry(),
             vec![XCKU060, ADM_PCIE_7V3],
             SchedPolicy::edf_cost_model(4, 100.0),
-        )
-        .with_tracing(TraceConfig::enabled(4096));
-        assert!(rt.trace_config().is_enabled());
+            RuntimeConfig::new().tracing(TraceConfig::enabled(4096)),
+        );
+        assert!(rt.config().trace.is_enabled());
         let report = rt.run(load(24, 100_000.0));
         let events = &report.trace.journal.events;
         assert_eq!(report.trace.journal.dropped, 0);
@@ -1979,7 +1921,7 @@ mod tests {
         use crate::health::{HealthConfig, HealthRuleKind};
         use crate::loadgen::with_uniform_slo;
         use crate::timeline::TimelineConfig;
-        use crate::trace::{TraceConfig, TraceEvent};
+        use crate::trace::TraceEvent;
         let make = || {
             SchedRuntime::with_config(
                 registry(),
@@ -2019,15 +1961,14 @@ mod tests {
 
     #[test]
     fn tracing_never_changes_virtual_time_results() {
-        use crate::trace::TraceConfig;
         let make = |cfg: TraceConfig| {
-            SchedRuntime::new(
+            SchedRuntime::with_config(
                 registry(),
                 vec![XCKU060, ADM_PCIE_7V3],
                 SchedPolicy::edf_cost_model(4, 50.0)
                     .with_admission(AdmissionPolicy::ShedPredictedLate),
+                RuntimeConfig::new().tracing(cfg),
             )
-            .with_tracing(cfg)
         };
         let slo = |reqs: Vec<Request>| -> Vec<Request> {
             reqs.into_iter()
@@ -2059,11 +2000,11 @@ mod tests {
         let total_bytes: u64 = (0..reg.len()).map(|m| reg.weight_bytes(m)).sum();
         // 90% of the combined footprint: each model fits alone, both
         // together never do.
-        let frac = (total_bytes as f64 * 0.9) / XCKU060.bram_bytes() as f64;
+        let budget = (total_bytes as f64 * 0.9) as u64;
         let rt = SchedRuntime::new(
             reg,
             vec![XCKU060],
-            SchedPolicy::edf_cost_model(1, 0.0).with_bram_budget_frac(frac),
+            SchedPolicy::edf_cost_model(1, 0.0).with_bram_budget_bytes(budget),
         );
         let report = rt.run(load(12, 50_000.0));
         assert_eq!(report.responses.len(), 12);
@@ -2215,13 +2156,14 @@ mod tests {
             requests.extend(chunks);
         }
         let run = |exec: ExecutorKind| {
-            SchedRuntime::with_executor(
+            SchedRuntime::with_config(
                 registry(),
                 vec![XCKU060, ADM_PCIE_7V3],
                 SchedPolicy::edf_cost_model(4, 50.0),
-                exec,
+                RuntimeConfig::new()
+                    .executor(exec)
+                    .tracing(TraceConfig::enabled(4096)),
             )
-            .with_tracing(TraceConfig::enabled(4096))
             .run(requests.clone())
         };
         let inline = run(ExecutorKind::Inline);
@@ -2297,12 +2239,12 @@ mod tests {
         // foreign batch can evict it.)
         let reg = registry();
         let budget = reg.weight_bytes(1) + reg.model(0).state_bytes() - 1;
-        let rt = SchedRuntime::new(
+        let rt = SchedRuntime::with_config(
             reg,
             vec![XCKU060],
             SchedPolicy::edf_cost_model(1, 0.0).with_bram_budget_bytes(budget),
-        )
-        .with_tracing(TraceConfig::enabled(4096));
+            RuntimeConfig::new().tracing(TraceConfig::enabled(4096)),
+        );
         let utts = synthetic_utterances(2, (12, 12), DIM, 88);
         let mut requests = chunked(9, 0, &utts[0], 3, 0.0, 1000.0);
         for i in 0..3u64 {
@@ -2440,7 +2382,6 @@ mod tests {
 
     // ----- fault injection, failover, and migration -----
 
-    use crate::config::RetryPolicy;
     use crate::request::ShedReason;
     use ernn_fpga::{DeviceFault, FaultEvent, FaultPlan};
 
@@ -2521,9 +2462,10 @@ mod tests {
             registry(),
             vec![XCKU060],
             SchedPolicy::edf_cost_model(1, 0.0),
-            RuntimeConfig::new().fault_plan(plan),
-        )
-        .with_tracing(TraceConfig::enabled(4096));
+            RuntimeConfig::new()
+                .fault_plan(plan)
+                .tracing(TraceConfig::enabled(4096)),
+        );
         let utts = synthetic_utterances(2, (20, 20), DIM, 13);
         let report = rt.run(vec![
             Request::new(0, utts[0].clone(), 0.0),
@@ -2582,9 +2524,10 @@ mod tests {
             reg,
             vec![XCKU060],
             SchedPolicy::edf_cost_model(1, 0.0),
-            RuntimeConfig::new().fault_plan(plan),
-        )
-        .with_tracing(TraceConfig::enabled(4096));
+            RuntimeConfig::new()
+                .fault_plan(plan)
+                .tracing(TraceConfig::enabled(4096)),
+        );
         let report = rt.run(vec![
             Request::new(0, utts[0].clone(), 0.0),
             Request::new(1, utts[1].clone(), t1),
@@ -2650,9 +2593,9 @@ mod tests {
                 RuntimeConfig::new()
                     .executor(exec)
                     .fault_plan(plan.clone())
-                    .failover(failover),
+                    .failover(failover)
+                    .tracing(TraceConfig::enabled(4096)),
             )
-            .with_tracing(TraceConfig::enabled(4096))
             .run(requests.clone())
         };
         let inline = run(ExecutorKind::Inline, true);
@@ -2709,43 +2652,41 @@ mod tests {
 
     #[test]
     fn retry_exhaustion_sheds_with_capacity_loss() {
-        // Three transients, each timed inside the window of the batch's
-        // next attempt; max_attempts = 2 means the third abort sheds.
-        let retry = RetryPolicy {
-            base_backoff_us: 50.0,
-            max_backoff_us: 5_000.0,
-            max_attempts: 2,
-        };
+        // max_attempts + 1 transients, each timed inside the window of
+        // the batch's next attempt under the default backoff: the last
+        // abort sheds.
+        let retry = RetryPolicy::default();
         let reg = registry();
         let cost = CostModel::build(&[XCKU060], &reg);
         let est = cost.estimate_frames_us(0, 0, 20);
         assert!(est > 1.0, "test assumes a multi-µs service time");
-        let t1 = 0.5;
-        let r1 = t1 + retry.backoff_us(1);
-        let t2 = r1 + 0.25;
-        let r2 = t2 + retry.backoff_us(2);
-        let t3 = r2 + 0.25;
-        let transient = |t_us| FaultEvent {
-            t_us,
-            device: 0,
-            fault: DeviceFault::Transient,
-        };
-        let plan = FaultPlan::new(vec![transient(t1), transient(t2), transient(t3)]);
+        let mut t = 0.5;
+        let mut events = Vec::new();
+        for attempt in 1..=retry.max_attempts + 1 {
+            events.push(FaultEvent {
+                t_us: t,
+                device: 0,
+                fault: DeviceFault::Transient,
+            });
+            t += retry.backoff_us(attempt) + 0.25;
+        }
+        let plan = FaultPlan::new(events);
         let utts = synthetic_utterances(1, (20, 20), DIM, 23);
         let rt = SchedRuntime::with_config(
             reg,
             vec![XCKU060],
             SchedPolicy::edf_cost_model(1, 0.0),
-            RuntimeConfig::new().fault_plan(plan).retry(retry),
+            RuntimeConfig::new().fault_plan(plan),
         );
         let report = rt.run(vec![Request::new(0, utts[0].clone(), 0.0)]);
         assert_eq!(report.responses.len(), 1);
         let r = &report.responses[0];
         assert!(r.shed);
         assert_eq!(r.shed_reason, Some(ShedReason::CapacityLoss));
-        assert_eq!(report.sched.batches_aborted, 3);
-        assert_eq!(report.sched.device_transients, 3);
-        assert_eq!(report.sched.retries_scheduled, 2);
+        let aborts = u64::from(retry.max_attempts) + 1;
+        assert_eq!(report.sched.batches_aborted, aborts);
+        assert_eq!(report.sched.device_transients, aborts);
+        assert_eq!(report.sched.retries_scheduled, aborts - 1);
         assert_eq!(report.sched.retries_exhausted, 1);
     }
 
@@ -2799,9 +2740,11 @@ mod tests {
                 vec![XCKU060, ADM_PCIE_7V3],
                 SchedPolicy::edf_cost_model(4, 50.0)
                     .with_admission(AdmissionPolicy::ShedPredictedLate),
-                RuntimeConfig::new().executor(exec).fault_plan(plan.clone()),
+                RuntimeConfig::new()
+                    .executor(exec)
+                    .fault_plan(plan.clone())
+                    .tracing(TraceConfig::enabled(8192)),
             )
-            .with_tracing(TraceConfig::enabled(8192))
             .run(requests)
         };
         let inline = run(ExecutorKind::Inline);

@@ -96,7 +96,7 @@ fn run_is_deterministic() {
 #[test]
 fn default_executor_is_inline() {
     let rt = serve(1, 1, 0.0, RuntimeConfig::new());
-    assert_eq!(rt.executor_kind(), ExecutorKind::Inline);
+    assert_eq!(rt.config().executor, ExecutorKind::Inline);
     assert_eq!(ExecutorKind::default(), ExecutorKind::Inline);
 }
 

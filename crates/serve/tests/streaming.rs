@@ -157,13 +157,14 @@ proptest! {
         let run = |exec: ExecutorKind| {
             let mut registry = ModelRegistry::new();
             registry.register("lstm-16", compiled(3, CellType::Lstm, 16));
-            SchedRuntime::with_executor(
+            SchedRuntime::with_config(
                 registry,
                 vec![XCKU060, ADM_PCIE_7V3],
                 SchedPolicy::edf_cost_model(4, 80.0),
-                exec,
+                RuntimeConfig::new()
+                    .executor(exec)
+                    .tracing(TraceConfig::enabled(8192)),
             )
-            .with_tracing(TraceConfig::enabled(8192))
             .run(requests.clone())
         };
         let inline = run(ExecutorKind::Inline);

@@ -9,13 +9,12 @@
 //! Run with: `cargo run --release --example serving_demo`
 
 use ernn::asr::{SynthCorpus, SynthCorpusConfig};
-use ernn::fft::stats;
 use ernn::fpga::XCKU060;
 use ernn::model::{CellType, ModelSpec};
 use ernn::pipeline::Pipeline;
 use ernn::serve::loadgen::{open_loop_poisson, with_uniform_slo};
 use ernn::serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
-use ernn::serve::{CompiledModel, ExecutorKind};
+use ernn::serve::{CompiledModel, ExecutorKind, RuntimeConfig};
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -24,11 +23,11 @@ use std::sync::Arc;
 fn serve(model: &Arc<CompiledModel>, devices: usize, executor: ExecutorKind) -> SchedRuntime {
     let mut registry = ModelRegistry::new();
     registry.register_shared("gru-64", Arc::clone(model));
-    SchedRuntime::with_executor(
+    SchedRuntime::with_config(
         registry,
         vec![XCKU060; devices],
         SchedPolicy::fifo_earliest_free(8, 200.0),
-        executor,
+        RuntimeConfig::new().executor(executor),
     )
 }
 
@@ -83,9 +82,8 @@ fn main() {
     let runtime = serve(&model, 2, ExecutorKind::Inline);
     let requests = with_uniform_slo(open_loop_poisson(&utterances, 400, 500_000.0, 11), 5_000.0);
 
-    let before = stats::snapshot();
     let report = runtime.run(requests);
-    let during = stats::snapshot().since(&before);
+    let during = report.host_fft();
 
     println!("\n== serving report (2 devices, batch ≤ 8, wait ≤ 200 µs) ==");
     println!("{}", report.metrics);
@@ -140,6 +138,11 @@ fn main() {
         .iter()
         .map(|w| format!("{}", w.forward_transforms))
         .collect();
+    assert_eq!(
+        pooled_report.host_fft(),
+        report.host_fft(),
+        "the workers' FFT ledgers must sum to the inline executor's"
+    );
     println!(
         "per-worker forward FFTs: [{}] (sum = inline's {})",
         worker_loads.join(", "),
