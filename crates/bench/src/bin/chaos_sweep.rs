@@ -41,8 +41,8 @@ use ernn_serve::sched::{
     SchedRuntime,
 };
 use ernn_serve::{
-    chrome_trace_json, prometheus_snapshot_full, CompiledModel, ExecutorKind, Request, Response,
-    RuntimeConfig, ShedReason, TraceConfig, TraceEvent,
+    chrome_trace_json, CompiledModel, ExecutorKind, Request, Response, RuntimeConfig, ShedReason,
+    TraceConfig, TraceEvent,
 };
 use rand::{Rng, SeedableRng};
 
@@ -297,15 +297,7 @@ fn main() {
         // the aborted batches, their retries, the failover re-placement,
         // and the session-state migrations are all visible as events.
         write_artifact(path, chrome_trace_json(&failover.trace));
-        let prom = prometheus_snapshot_full(
-            &failover.metrics,
-            &failover.trace,
-            Some(&failover.sched),
-            None,
-            None,
-            None,
-        );
-        write_artifact(&format!("{path}.prom"), prom);
+        write_artifact(&format!("{path}.prom"), failover.prometheus());
     }
 
     // Zero requests lost, in every configuration.

@@ -51,9 +51,9 @@ use ernn_model::{CellType, ModelSpec};
 use ernn_serve::loadgen::synthetic_utterances;
 use ernn_serve::sched::{CostModel, DeviceResidency, ModelRegistry, SchedPolicy};
 use ernn_serve::{
-    chrome_trace_json, prometheus_snapshot_full, ClusterConfig, ClusterReport, ClusterRuntime,
-    ClusterSpec, CompiledModel, ExecutorKind, Request, Response, RuntimeConfig, ShedReason,
-    Steering, TraceConfig, TransferModel,
+    chrome_trace_json, ClusterConfig, ClusterReport, ClusterRuntime, ClusterSpec, CompiledModel,
+    ExecutorKind, Request, Response, RuntimeConfig, ShedReason, Steering, TraceConfig,
+    TransferModel,
 };
 use rand::{Rng, SeedableRng};
 
@@ -494,16 +494,7 @@ fn main() {
 
     if let Some(path) = &trace_path {
         write_artifact(path, chrome_trace_json(&killed.trace));
-        let gauges = killed.shard_gauges();
-        let prom = prometheus_snapshot_full(
-            &killed.metrics,
-            &killed.trace,
-            None,
-            None,
-            None,
-            Some(&gauges),
-        );
-        write_artifact(&format!("{path}.prom"), prom);
+        write_artifact(&format!("{path}.prom"), killed.prometheus());
     }
 
     println!(

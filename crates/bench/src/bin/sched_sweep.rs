@@ -40,9 +40,8 @@ use ernn_serve::sched::{
     AdmissionPolicy, ModelRegistry, PaddingModel, SchedPolicy, SchedReport, SchedRuntime,
 };
 use ernn_serve::{
-    analyze, chrome_trace_json, health_json, prometheus_snapshot_full, timeline_json,
-    CompiledModel, ExecutorKind, HealthConfig, HealthRuleKind, Request, RuntimeConfig,
-    TimelineConfig, TraceConfig,
+    analyze, chrome_trace_json, health_json, timeline_json, CompiledModel, ExecutorKind,
+    HealthConfig, HealthRuleKind, Request, RuntimeConfig, TimelineConfig, TraceConfig,
 };
 use rand::SeedableRng;
 
@@ -317,15 +316,7 @@ fn main() {
         if config.label == "edf+cost+shed" {
             if let Some(path) = &trace_path {
                 write_artifact(path, chrome);
-                let prom = prometheus_snapshot_full(
-                    &report.metrics,
-                    &report.trace,
-                    Some(&report.sched),
-                    Some(&report.timeline),
-                    Some(&report.health),
-                    None,
-                );
-                write_artifact(&format!("{path}.prom"), prom);
+                write_artifact(&format!("{path}.prom"), report.prometheus());
                 write_artifact(
                     &sibling_artifact(path, "TIMELINE"),
                     timeline_json(&report.timeline),

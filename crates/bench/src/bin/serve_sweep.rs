@@ -15,10 +15,7 @@ use ernn_fpga::XCKU060;
 use ernn_model::{CellType, ModelSpec};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
-use ernn_serve::{
-    chrome_trace_json, prometheus_snapshot_full, HealthConfig, RuntimeConfig, TimelineConfig,
-    TraceConfig,
-};
+use ernn_serve::{chrome_trace_json, HealthConfig, RuntimeConfig, TimelineConfig, TraceConfig};
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -93,15 +90,7 @@ fn main() {
             if traced {
                 let path = trace_path.as_deref().expect("checked above");
                 write_artifact(path, chrome_trace_json(&report.trace));
-                let prom = prometheus_snapshot_full(
-                    &report.metrics,
-                    &report.trace,
-                    Some(&report.sched),
-                    Some(&report.timeline),
-                    Some(&report.health),
-                    None,
-                );
-                write_artifact(&format!("{path}.prom"), prom);
+                write_artifact(&format!("{path}.prom"), report.prometheus());
             }
             let m = &report.metrics;
             let mean_occ =

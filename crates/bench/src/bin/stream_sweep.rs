@@ -33,8 +33,7 @@ use ernn_serve::sched::{
     CostModel, DeviceResidency, ModelRegistry, SchedPolicy, SchedReport, SchedRuntime,
 };
 use ernn_serve::{
-    chrome_trace_json, prometheus_snapshot_full, ExecutorKind, Request, Response, RuntimeConfig,
-    TraceConfig, Workload,
+    chrome_trace_json, ExecutorKind, Request, Response, RuntimeConfig, TraceConfig, Workload,
 };
 use rand::{Rng, SeedableRng};
 
@@ -215,15 +214,7 @@ fn main() {
         // preemption this sweep is about: probe dispatches interleave
         // between session chunks in the Perfetto timeline.
         write_artifact(path, chrome_trace_json(&stream.trace));
-        let prom = prometheus_snapshot_full(
-            &stream.metrics,
-            &stream.trace,
-            Some(&stream.sched),
-            None,
-            None,
-            None,
-        );
-        write_artifact(&format!("{path}.prom"), prom);
+        write_artifact(&format!("{path}.prom"), stream.prometheus());
     }
     let baseline = run(trace.utterance.clone(), ExecutorKind::Inline);
 

@@ -12,7 +12,8 @@ use ernn_model::{GruLayer, LstmLayer, RnnLayer, RnnNetwork};
 use ernn_quant::{FixedFormat, PiecewiseLinear, Quantizer};
 
 /// Reusable workspace for the quantized datapath
-/// ([`QuantizedNetwork::forward_logits_batch_into`] and friends).
+/// ([`QuantizedNetwork::forward_logits_batch_into`] and
+/// [`QuantizedNetwork::forward_logits_batch_states_into`]).
 ///
 /// Holds the ping-pong inter-layer activation buffers, the per-timestep
 /// gather/scatter buffers for lockstep batching, and the shared
@@ -325,28 +326,9 @@ impl QuantizedNetwork {
     /// throwaway scratch; results are bit-identical to every other entry
     /// point by construction.
     pub fn forward_logits(&self, frames: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        self.forward_logits_with(frames, &mut ExecScratch::new())
-    }
-
-    /// [`Self::forward_logits`] reusing a caller-owned scratch — the
-    /// per-worker serving form: post-warmup, the FFT/matvec kernels
-    /// allocate nothing and only the returned logits are fresh.
-    pub fn forward_logits_with(
-        &self,
-        frames: &[Vec<f32>],
-        scratch: &mut ExecScratch,
-    ) -> Vec<Vec<f32>> {
         let mut out = Vec::new();
-        self.forward_logits_batch_into(&[frames], &mut out, scratch);
+        self.forward_logits_batch_into(&[frames], &mut out, &mut ExecScratch::new());
         out.pop().expect("one sequence in, one sequence out")
-    }
-
-    /// Batched forward pass over several utterances at once; allocating
-    /// wrapper over [`Self::forward_logits_batch_into`].
-    pub fn forward_logits_batch(&self, utterances: &[&[Vec<f32>]]) -> Vec<Vec<Vec<f32>>> {
-        let mut out = Vec::new();
-        self.forward_logits_batch_into(utterances, &mut out, &mut ExecScratch::new());
-        out
     }
 
     /// The quantized-datapath kernel: runs `utterances` in lockstep so
@@ -462,10 +444,11 @@ impl QuantizedNetwork {
 
     /// Batched LSTM lockstep with the hardware datapath (mirrors
     /// `ernn_model::LstmLayer::step` with quantization and PWL injected —
-    /// kept in sync by the agreement tests below). Reads activations from
-    /// `scratch.a`, writes to `scratch.b`. Lane `s` starts from layer
-    /// `li` of `states[s]` when present (zeros otherwise) and writes its
-    /// final recurrent state back there.
+    /// kept in sync by `tests::twelve_bit_outputs_stay_close_to_float`,
+    /// which runs both cells against the float reference). Reads
+    /// activations from `scratch.a`, writes to `scratch.b`. Lane `s`
+    /// starts from layer `li` of `states[s]` when present (zeros
+    /// otherwise) and writes its final recurrent state back there.
     fn lstm_seq_batch(
         &self,
         l: &LstmLayer<WeightMatrix>,
@@ -599,9 +582,11 @@ impl QuantizedNetwork {
     }
 
     /// Batched GRU lockstep with the hardware datapath (mirrors
-    /// `ernn_model::GruLayer::step`). Reads activations from `scratch.a`,
-    /// writes to `scratch.b`. Lane `s` starts from layer `li` of
-    /// `states[s]` when present (zeros otherwise) and writes its final
+    /// `ernn_model::GruLayer::step` — kept in sync by
+    /// `tests::{twelve_bit_outputs_stay_close_to_float,
+    /// argmax_decisions_survive_quantization}`). Reads activations from
+    /// `scratch.a`, writes to `scratch.b`. Lane `s` starts from layer `li`
+    /// of `states[s]` when present (zeros otherwise) and writes its final
     /// cell state back there.
     fn gru_seq_batch(
         &self,
@@ -815,16 +800,15 @@ mod tests {
                 })
                 .collect();
             let refs: Vec<&[Vec<f32>]> = utts.iter().map(Vec::as_slice).collect();
-            let batched = q.forward_logits_batch(&refs);
+            let mut batched = Vec::new();
+            q.forward_logits_batch_into(&refs, &mut batched, &mut ExecScratch::new());
             let mut scratch = ExecScratch::new();
+            let mut single = Vec::new();
             for (s, utt) in utts.iter().enumerate() {
                 assert_eq!(batched[s], q.forward_logits(utt), "{cell} utterance {s}");
                 // Scratch reuse across calls changes nothing either.
-                assert_eq!(
-                    batched[s],
-                    q.forward_logits_with(utt, &mut scratch),
-                    "{cell} scratch reuse, utterance {s}"
-                );
+                q.forward_logits_batch_into(&[utt.as_slice()], &mut single, &mut scratch);
+                assert_eq!(batched[s], single[0], "{cell} scratch reuse, utterance {s}");
             }
         }
     }
@@ -867,7 +851,8 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[Vec<f32>]> = utts.iter().map(Vec::as_slice).collect();
-        let stateless = q.forward_logits_batch(&refs);
+        let mut stateless = Vec::new();
+        q.forward_logits_batch_into(&refs, &mut stateless, &mut ExecScratch::new());
         // Middle lane stateful, outer lanes stateless: identical logits,
         // and only the stateful lane's state is written back.
         let mut states = vec![None, Some(q.fresh_state()), None];

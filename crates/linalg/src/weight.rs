@@ -15,9 +15,12 @@ use crate::{BlockCirculantMatrix, MatVecScratch, Matrix};
 /// for [`Matrix`], [`BlockCirculantMatrix`] and [`WeightMatrix`].
 ///
 /// The `_into` methods are the allocation-free forms used by the
-/// inference hot path; they must be bit-identical to `matvec`. The
-/// provided defaults fall back to the allocating path, and every
-/// workspace implementation overrides them with true in-place kernels.
+/// inference hot path; they must be bit-identical to `matvec`. Every
+/// implementation supplies its own in-place `matvec_into`. The provided
+/// `matvec_batch_into` loops `matvec_into` over the batch; [`Matrix`]
+/// keeps that default, while [`BlockCirculantMatrix`] (and
+/// [`WeightMatrix`] on its circulant variant) override it with the fused
+/// kernel.
 pub trait MatVec {
     /// Output dimension.
     fn rows(&self) -> usize;
@@ -34,10 +37,7 @@ pub trait MatVec {
     /// # Panics
     ///
     /// Panics if `y.len() != self.rows()`.
-    fn matvec_into(&self, x: &[f32], y: &mut [f32], scratch: &mut MatVecScratch) {
-        let _ = scratch;
-        y.copy_from_slice(&self.matvec(x));
-    }
+    fn matvec_into(&self, x: &[f32], y: &mut [f32], scratch: &mut MatVecScratch);
 
     /// Batched `ys[b] = A·xs[b]` over contiguous `batch × cols` inputs
     /// and `batch × rows` outputs. Bit-identical per input to
@@ -202,6 +202,26 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// `matvec_into` (one scratch reused across calls) and a batch-3
+    /// `matvec_batch_into` both equal per-input `matvec` bit for bit.
+    fn assert_into_forms_match_matvec(w: &WeightMatrix) {
+        let xs: Vec<Vec<f32>> = (0..3)
+            .map(|b| (0..8).map(|i| (i as f32 - b as f32) * 0.1).collect())
+            .collect();
+        let mut scratch = MatVecScratch::new();
+        for x in &xs {
+            let mut y = vec![0.0f32; 8];
+            w.matvec_into(x, &mut y, &mut scratch);
+            assert_eq!(y, w.matvec(x));
+        }
+        let flat: Vec<f32> = xs.iter().flatten().copied().collect();
+        let mut ys = vec![0.0f32; 3 * 8];
+        w.matvec_batch_into(&flat, &mut ys, 3, &mut scratch);
+        for (b, x) in xs.iter().enumerate() {
+            assert_eq!(&ys[b * 8..(b + 1) * 8], w.matvec(x).as_slice(), "lane {b}");
+        }
+    }
+
     #[test]
     fn enum_dispatch_matches_inner() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
@@ -210,12 +230,14 @@ mod tests {
         let w = WeightMatrix::Dense(dense.clone());
         assert_eq!(w.matvec(&x), dense.matvec(&x));
         assert_eq!(w.matvec_t(&x), dense.matvec_t(&x));
+        assert_into_forms_match_matvec(&w);
 
         let bc = BlockCirculantMatrix::project_dense(&dense, 4);
         let w = WeightMatrix::Circulant(bc.clone());
         assert_eq!(w.matvec(&x), bc.matvec(&x));
         assert_eq!(w.param_count(), bc.param_count());
         assert_eq!(w.block_size(), 4);
+        assert_into_forms_match_matvec(&w);
     }
 
     #[test]

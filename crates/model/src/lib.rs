@@ -17,6 +17,12 @@
 //! representation ([`RnnNetwork::forward_backward`]) and validated by
 //! finite-difference tests.
 //!
+//! These float cells run one sequence at a time (`step`, `forward_seq`,
+//! [`RnnNetwork::forward_logits`]); they are the training path and the
+//! reference the quantization tests compare against. Serving runs the
+//! 12-bit fixed-point datapath in `ernn_fpga::exec`, whose lockstep batch
+//! fuses each cell matvec across requests.
+//!
 //! ```
 //! use ernn_model::{NetworkBuilder, CellType};
 //! use rand::SeedableRng;
@@ -44,10 +50,10 @@ pub mod trainer;
 
 pub use activation::Act;
 pub use compress::{compress_network, compress_network_layers, BlockPolicy};
-pub use gru::{GruCache, GruGrads, GruLayer, GruScratch};
+pub use gru::{GruCache, GruGrads, GruLayer};
 pub use layer::{LayerCaches, LayerGrads, RnnLayer};
 pub use loss::softmax_cross_entropy;
-pub use lstm::{LstmCache, LstmConfig, LstmGrads, LstmLayer, LstmScratch, LstmState, ParamCount};
+pub use lstm::{LstmCache, LstmConfig, LstmGrads, LstmLayer, LstmState, ParamCount};
 pub use network::{CellType, NetworkBuilder, NetworkGrads, RnnNetwork, WeightRole};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use spec::ModelSpec;

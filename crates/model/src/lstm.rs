@@ -11,33 +11,8 @@
 
 use crate::activation::{sigmoid, Act};
 use ernn_linalg::ops::hadamard_acc;
-use ernn_linalg::{MatVec, MatVecScratch, Matrix};
+use ernn_linalg::{MatVec, Matrix};
 use rand::Rng;
-
-/// Reusable workspace for the allocation-free LSTM step kernels
-/// ([`LstmLayer::step_into`] / [`LstmLayer::step_batch_into`]).
-///
-/// One scratch serves any layer shape and batch size; buffers grow to the
-/// largest size seen and are then reused, and the embedded
-/// [`MatVecScratch`] threads straight down into the FFT kernels.
-#[derive(Debug, Clone, Default)]
-pub struct LstmScratch {
-    /// Gate pre-activations (`batch × 4H`).
-    pre: Vec<f32>,
-    /// Recurrent matvec output (`batch × 4H`).
-    rec: Vec<f32>,
-    /// Cell output `m_t` before projection (`batch × H`).
-    m: Vec<f32>,
-    /// Matvec workspace shared by all weight matrices.
-    pub mv: MatVecScratch,
-}
-
-impl LstmScratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> Self {
-        LstmScratch::default()
-    }
-}
 
 /// Static configuration of one LSTM layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,161 +243,6 @@ impl<M: MatVec> LstmLayer<M> {
             m,
         });
         (LstmState { c, y }, cache)
-    }
-
-    /// One timestep of Eqn. 1 written into caller-provided state, with
-    /// every intermediate in `scratch` — the allocation-free inference
-    /// form of [`Self::step`], bit-identical to it by construction (same
-    /// kernels, same operation order; asserted by tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or the state dimensions disagree with the config.
-    pub fn step_into(
-        &self,
-        x: &[f32],
-        state: &LstmState,
-        next: &mut LstmState,
-        scratch: &mut LstmScratch,
-    ) {
-        next.c.resize(self.cfg.hidden_dim, 0.0);
-        next.y.resize(self.cfg.output_dim, 0.0);
-        self.step_batch_into(x, &state.c, &state.y, &mut next.c, &mut next.y, 1, scratch);
-    }
-
-    /// One timestep of Eqn. 1 for `batch` independent states at once, over
-    /// flat `batch × dim` buffers. The two gate matvecs are batch-fused
-    /// (block-circulant weights stream their cached spectra once per
-    /// batch, see
-    /// [`matvec_batch_into`](ernn_linalg::MatVec::matvec_batch_into));
-    /// the element-wise gate math runs per lane, so every lane's result
-    /// is bit-identical to a standalone [`Self::step`].
-    ///
-    /// Allocation-free once `scratch` has grown to this shape and batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice length disagrees with `batch` and the config.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_batch_into(
-        &self,
-        xs: &[f32],
-        c_prev: &[f32],
-        y_prev: &[f32],
-        c_next: &mut [f32],
-        y_next: &mut [f32],
-        batch: usize,
-        scratch: &mut LstmScratch,
-    ) {
-        let h = self.cfg.hidden_dim;
-        let r = self.cfg.output_dim;
-        assert_eq!(
-            xs.len(),
-            batch * self.cfg.input_dim,
-            "input dimension mismatch"
-        );
-        assert_eq!(c_prev.len(), batch * h, "cell state dimension mismatch");
-        assert_eq!(y_prev.len(), batch * r, "output dimension mismatch");
-        assert_eq!(
-            c_next.len(),
-            batch * h,
-            "next cell state dimension mismatch"
-        );
-        assert_eq!(y_next.len(), batch * r, "next output dimension mismatch");
-
-        let LstmScratch { pre, rec, m, mv } = scratch;
-        pre.resize(batch * 4 * h, 0.0);
-        rec.resize(batch * 4 * h, 0.0);
-        m.resize(batch * h, 0.0);
-
-        // Fused pre-activations: W_(ifgo)x · x + W_(ifgo)r · y_{t-1} + b.
-        self.wx.matvec_batch_into(xs, pre, batch, mv);
-        self.wr.matvec_batch_into(y_prev, rec, batch, mv);
-        for b in 0..batch {
-            let pre = &mut pre[b * 4 * h..(b + 1) * 4 * h];
-            let rec = &rec[b * 4 * h..(b + 1) * 4 * h];
-            let c_prev = &c_prev[b * h..(b + 1) * h];
-            let c = &mut c_next[b * h..(b + 1) * h];
-            let m = &mut m[b * h..(b + 1) * h];
-            for ((p, rv), bias) in pre.iter_mut().zip(rec.iter()).zip(self.bias.iter()) {
-                *p += rv + bias;
-            }
-
-            // Peepholes on i and f read c_{t-1} (Eqn. 1a/1b).
-            if let Some([pi, pf, _]) = &self.peepholes {
-                for k in 0..h {
-                    pre[k] += pi[k] * c_prev[k];
-                    pre[h + k] += pf[k] * c_prev[k];
-                }
-            }
-
-            // c_t = f ⊙ c_{t-1} + g ⊙ i   (Eqn. 1d)
-            for k in 0..h {
-                let i_gate = sigmoid(pre[k]);
-                let f_gate = sigmoid(pre[h + k]);
-                let g_cell = self.cfg.cell_activation.eval(pre[2 * h + k]);
-                c[k] = f_gate * c_prev[k] + g_cell * i_gate;
-            }
-
-            // Peephole on o reads c_t (Eqn. 1e); m_t = o ⊙ tanh(c_t).
-            for k in 0..h {
-                let mut po = pre[3 * h + k];
-                if let Some([_, _, p_o]) = &self.peepholes {
-                    po += p_o[k] * c[k];
-                }
-                let o_gate = sigmoid(po);
-                m[k] = o_gate * c[k].tanh();
-            }
-        }
-
-        // y_t = W_ym · m_t   (Eqn. 1g) or identity without projection.
-        match &self.wym {
-            Some(w) => w.matvec_batch_into(m, y_next, batch, mv),
-            None => y_next.copy_from_slice(m),
-        }
-    }
-
-    /// Runs a batch of sequences in lockstep through this layer, fusing
-    /// the gate matvecs across whatever subset of sequences is still
-    /// active at each timestep. Per-sequence outputs are bit-identical to
-    /// [`Self::forward_seq`].
-    pub fn forward_seq_batch(&self, seqs: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<f32>>> {
-        let h = self.cfg.hidden_dim;
-        let r = self.cfg.output_dim;
-        let i_dim = self.cfg.input_dim;
-        let n = seqs.len();
-        let max_t = seqs.iter().map(Vec::len).max().unwrap_or(0);
-        let mut c = vec![0.0f32; n * h];
-        let mut y = vec![0.0f32; n * r];
-        let mut outs: Vec<Vec<Vec<f32>>> =
-            seqs.iter().map(|s| Vec::with_capacity(s.len())).collect();
-        let mut scratch = LstmScratch::new();
-        let (mut xb, mut cb, mut yb) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut cn, mut yn) = (Vec::new(), Vec::new());
-        let mut active = Vec::with_capacity(n);
-        for t in 0..max_t {
-            active.clear();
-            active.extend((0..n).filter(|&s| t < seqs[s].len()));
-            let bsz = active.len();
-            xb.clear();
-            cb.clear();
-            yb.clear();
-            for &s in &active {
-                assert_eq!(seqs[s][t].len(), i_dim, "input dimension mismatch");
-                xb.extend_from_slice(&seqs[s][t]);
-                cb.extend_from_slice(&c[s * h..(s + 1) * h]);
-                yb.extend_from_slice(&y[s * r..(s + 1) * r]);
-            }
-            cn.resize(bsz * h, 0.0);
-            yn.resize(bsz * r, 0.0);
-            self.step_batch_into(&xb, &cb, &yb, &mut cn, &mut yn, bsz, &mut scratch);
-            for (b, &s) in active.iter().enumerate() {
-                c[s * h..(s + 1) * h].copy_from_slice(&cn[b * h..(b + 1) * h]);
-                y[s * r..(s + 1) * r].copy_from_slice(&yn[b * r..(b + 1) * r]);
-                outs[s].push(yn[b * r..(b + 1) * r].to_vec());
-            }
-        }
-        outs
     }
 
     /// Runs a full sequence, returning outputs per frame (and caches when
@@ -685,42 +505,6 @@ mod tests {
         }
         for &c in &state.c {
             assert!(c.is_finite() && c.abs() < 50.0);
-        }
-    }
-
-    #[test]
-    fn step_into_is_bit_identical_to_step() {
-        for (peep, proj) in [(false, false), (true, false), (false, true), (true, true)] {
-            let layer = tiny_layer(peep, proj, 11);
-            let mut scratch = LstmScratch::new();
-            let mut state = layer.zero_state();
-            let mut next = layer.zero_state();
-            for t in 0..8 {
-                let x = vec![0.3 * t as f32, -0.4, 0.2];
-                let (want, _) = layer.step(&x, &state, false);
-                layer.step_into(&x, &state, &mut next, &mut scratch);
-                assert_eq!(next.c, want.c, "peep={peep} proj={proj} t={t}");
-                assert_eq!(next.y, want.y, "peep={peep} proj={proj} t={t}");
-                state = want;
-            }
-        }
-    }
-
-    #[test]
-    fn forward_seq_batch_is_bit_identical_to_per_sequence() {
-        let layer = tiny_layer(true, true, 12);
-        // Ragged lengths exercise the shrinking active set.
-        let seqs: Vec<Vec<Vec<f32>>> = (0..4)
-            .map(|s| {
-                (0..3 + s * 2)
-                    .map(|t| vec![0.1 * t as f32, -0.2 + s as f32 * 0.05, 0.3])
-                    .collect()
-            })
-            .collect();
-        let batched = layer.forward_seq_batch(&seqs);
-        for (s, seq) in seqs.iter().enumerate() {
-            let (want, _) = layer.forward_seq(seq, false);
-            assert_eq!(batched[s], want, "sequence {s}");
         }
     }
 

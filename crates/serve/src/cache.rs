@@ -165,13 +165,6 @@ impl CompiledModel {
         self.qnet.forward_logits(frames)
     }
 
-    /// [`Self::infer`] reusing a caller-owned scratch: the per-worker
-    /// serving form. Post-warmup, the FFT/matvec kernels allocate
-    /// nothing; logits are bit-identical to [`Self::infer`].
-    pub fn infer_with(&self, frames: &[Vec<f32>], scratch: &mut ExecScratch) -> Vec<Vec<f32>> {
-        self.qnet.forward_logits_with(frames, scratch)
-    }
-
     /// Batch-fused inference over several utterances: the cell matvecs
     /// fuse across the batch, so block-circulant weight spectra are
     /// streamed once per batch instead of once per request. Per-utterance

@@ -44,7 +44,8 @@
 //! across host executors, journals cluster-scope
 //! [`TraceEvent`](crate::TraceEvent)s (`Forward`, `Replicate`,
 //! `ShardDown`, `SessionReroute`), and exports per-shard
-//! [`ShardGauges`] to the Prometheus snapshot. See `docs/cluster.md`.
+//! [`ShardGauges`] to the Prometheus snapshot
+//! ([`ClusterReport::prometheus`]). See `docs/cluster.md`.
 
 mod placement;
 mod router;
@@ -374,8 +375,8 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// The per-shard gauges in shard order — ready for
-    /// [`prometheus_snapshot_full`](crate::prometheus_snapshot_full).
+    /// The per-shard gauges in shard order, as
+    /// [`Self::prometheus`] exports them.
     pub fn shard_gauges(&self) -> Vec<ShardGauges> {
         self.shards.iter().map(|s| s.gauges).collect()
     }

@@ -53,7 +53,8 @@
 //!   model) stage-time attribution ([`StageAttribution`]), per-request
 //!   critical-path analysis ([`trace::analyze`]), and exporters
 //!   to Chrome trace-event JSON ([`chrome_trace_json`], loadable in
-//!   Perfetto) and Prometheus text ([`prometheus_snapshot_full`]).
+//!   Perfetto) and Prometheus text ([`sched::SchedReport::prometheus`],
+//!   [`ClusterReport::prometheus`]).
 //!   Journals are bit-identical across executors.
 //! * [`timeline`] + [`health`] — the operational-judgment layer on top
 //!   of tracing: a pre-sized, zero-steady-state-allocation
@@ -154,6 +155,6 @@ pub use timeline::{
 };
 pub use trace::analyze::{analyze, PathTotals, RequestSpan, SlowRequest, TraceAnalysis};
 pub use trace::{
-    chrome_trace_json, prometheus_snapshot_full, FlightRecorder, LatencyHistogram, RunTrace,
-    ShardGauges, StageAttribution, StageBreakdown, TraceConfig, TraceEvent, TraceJournal,
+    chrome_trace_json, FlightRecorder, LatencyHistogram, RunTrace, ShardGauges, StageAttribution,
+    StageBreakdown, TraceConfig, TraceEvent, TraceJournal,
 };

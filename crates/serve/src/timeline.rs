@@ -20,8 +20,8 @@
 //! The [`HealthMonitor`](crate::health::HealthMonitor) evaluates its
 //! declarative rules over this ring; [`timeline_json`] exports the
 //! finished timeline, and
-//! [`prometheus_snapshot_full`](crate::trace::prometheus_snapshot_full)
-//! merges the newest sample into the scrape text.
+//! [`SchedReport::prometheus`](crate::sched::SchedReport::prometheus) merges
+//! the newest sample into the scrape text whenever capture was on.
 
 /// Timeline capture configuration: off by default, or a fixed sampling
 /// grid with a bounded ring.

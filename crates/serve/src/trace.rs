@@ -27,23 +27,25 @@
 //!
 //! Exporters turn a captured [`RunTrace`] into standard tooling formats:
 //! [`chrome_trace_json`] renders a Chrome trace-event document loadable
-//! in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`, and
-//! [`prometheus_snapshot_full`] renders a Prometheus text-exposition
-//! snapshot of the run metrics and attribution, optionally merging
-//! [`SchedStats`], the newest
-//! [`Timeline`] sample, and the
-//! [`HealthReport`]). The [`analyze`]
+//! in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
+//! [`SchedReport::prometheus`] and [`ClusterReport::prometheus`] render
+//! a Prometheus text-exposition snapshot of the run metrics and
+//! attribution; a scheduler report adds its [`SchedStats`] and, when a
+//! timeline was captured, the newest [`Timeline`] sample and the
+//! [`HealthReport`], and a cluster report adds its per-shard
+//! [`ShardGauges`]. The [`analyze`]
 //! submodule reconstructs per-request critical paths from a captured
 //! journal. See `docs/observability.md` for the event schema and a
 //! Perfetto walkthrough.
 
 pub mod analyze;
 
+use crate::cluster::ClusterReport;
 use crate::device::BatchExecution;
 use crate::health::{HealthEvent, HealthReport, HealthRuleKind};
 use crate::metrics::{LatencySummary, ServeMetrics};
 use crate::request::{Request, Response};
-use crate::sched::SchedStats;
+use crate::sched::{SchedReport, SchedStats};
 use crate::timeline::Timeline;
 use ernn_fpga::Device;
 use std::collections::BTreeMap;
@@ -831,9 +833,8 @@ impl StageAttribution {
 }
 
 /// Everything observability captured for one run: the event journal plus
-/// the stage-time attribution table. Carried on
-/// [`SchedReport`](crate::sched::SchedReport); derived `PartialEq` is
-/// what the executor bit-identity assertions compare.
+/// the stage-time attribution table. Carried on [`SchedReport`]; derived
+/// `PartialEq` is what the executor bit-identity assertions compare.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunTrace {
     /// The captured event journal (empty when tracing was disabled).
@@ -1594,9 +1595,8 @@ pub fn chrome_trace_json(trace: &RunTrace) -> String {
 
 /// Per-shard point-in-time gauges for the cluster-scope Prometheus
 /// export: one row per shard in a
-/// [`ClusterReport`](crate::cluster::ClusterReport), rendered by
-/// [`prometheus_snapshot_full`] as `ernn_shard_*` gauge families with a
-/// `shard` label.
+/// [`ClusterReport`], rendered by [`ClusterReport::prometheus`] as
+/// `ernn_shard_*` gauge families with a `shard` label.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ShardGauges {
     /// Shard index.
@@ -1611,52 +1611,80 @@ pub struct ShardGauges {
     pub live_sessions: usize,
 }
 
-/// Renders run metrics plus attribution as a Prometheus text-exposition
-/// snapshot (counters, two histograms, per-cell stage gauges), plus
-/// (when given) the scheduler's
-/// [`SchedStats`] counters — residency,
-/// session-state, fault, retry, failover, and migration activity — the
-/// newest [`Timeline`] sample as point-in-time
-/// gauges with the queue-delay EWMA, the
-/// [`HealthReport`] rule-firing counters, and the cluster tier's
-/// per-shard [`ShardGauges`].
-pub fn prometheus_snapshot_full(
-    metrics: &ServeMetrics,
-    trace: &RunTrace,
-    sched: Option<&SchedStats>,
-    timeline: Option<&Timeline>,
-    health: Option<&HealthReport>,
-    shards: Option<&[ShardGauges]>,
-) -> String {
-    let mut out = String::new();
-    let counter = |out: &mut String, name: &str, help: &str, v: String| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {v}");
-    };
+impl SchedReport {
+    /// Renders this run as a Prometheus text-exposition snapshot: run
+    /// counters, the latency and queue-delay histograms, per-(device,
+    /// model) stage gauges, and the scheduler's [`SchedStats`] counters
+    /// (residency, session-state, fault, retry, failover and migration
+    /// activity). When the run captured a timeline
+    /// (`timeline.interval_us > 0`), the newest [`Timeline`] sample
+    /// follows as point-in-time gauges with the queue-delay EWMA, then
+    /// the [`HealthReport`] rule-firing counters.
+    pub fn prometheus(&self) -> String {
+        let mut out = String::new();
+        write_run_families(&mut out, &self.metrics, &self.trace);
+        write_sched_families(&mut out, &self.sched);
+        if self.timeline.interval_us > 0.0 {
+            write_timeline_families(&mut out, &self.timeline);
+            write_health_families(&mut out, &self.health);
+        }
+        out
+    }
+}
+
+impl ClusterReport {
+    /// Renders the cluster run as a Prometheus text-exposition snapshot:
+    /// the run counters, histograms and stage gauges over the merged
+    /// metrics and the router journal, then each shard's
+    /// [`ShardGauges`] as `ernn_shard_*` gauge families with a `shard`
+    /// label.
+    pub fn prometheus(&self) -> String {
+        let mut out = String::new();
+        write_run_families(&mut out, &self.metrics, &self.trace);
+        write_shard_families(&mut out, &self.shard_gauges());
+        out
+    }
+}
+
+/// One unlabelled counter family: `HELP`, `TYPE` and its one sample.
+fn counter(out: &mut String, name: &str, help: &str, v: impl fmt::Display) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} counter");
+    let _ = writeln!(out, "{name} {v}");
+}
+
+/// One unlabelled gauge family: `HELP`, `TYPE` and its one sample.
+fn gauge(out: &mut String, name: &str, help: &str, v: impl fmt::Display) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} gauge");
+    let _ = writeln!(out, "{name} {v}");
+}
+
+/// Run counters, the two histograms, and the stage-attribution gauges.
+fn write_run_families(out: &mut String, metrics: &ServeMetrics, trace: &RunTrace) {
     counter(
-        &mut out,
+        out,
         "ernn_requests_completed_total",
         "Requests served to completion.",
-        metrics.completed.to_string(),
+        metrics.completed,
     );
     counter(
-        &mut out,
+        out,
         "ernn_requests_shed_total",
         "Requests rejected by admission control.",
-        metrics.shed.to_string(),
+        metrics.shed,
     );
     counter(
-        &mut out,
+        out,
         "ernn_trace_events_total",
         "Trace events offered to the flight recorder.",
-        (trace.journal.events.len() as u64 + trace.journal.dropped).to_string(),
+        trace.journal.events.len() as u64 + trace.journal.dropped,
     );
     counter(
-        &mut out,
+        out,
         "ernn_trace_events_dropped_total",
         "Trace events lost to ring-buffer overwrite.",
-        trace.journal.dropped.to_string(),
+        trace.journal.dropped,
     );
 
     for (name, help, hist) in [
@@ -1713,247 +1741,243 @@ pub fn prometheus_snapshot_full(
             cell.requests
         );
     }
+}
 
-    if let Some(s) = sched {
-        for (name, help, v) in [
-            (
-                "ernn_sched_admitted_total",
-                "Arrivals admitted into the scheduler queue.",
-                s.admitted as u64,
-            ),
-            (
-                "ernn_sched_shed_total",
-                "Arrivals shed by admission control.",
-                s.shed as u64,
-            ),
-            (
-                "ernn_sched_model_loads_total",
-                "Cold weight-image loads (residency misses).",
-                s.model_loads,
-            ),
-            (
-                "ernn_sched_model_evictions_total",
-                "Weight images evicted from device BRAM.",
-                s.model_evictions,
-            ),
-            (
-                "ernn_sched_degraded_batches_total",
-                "Batches capped by overload degradation.",
-                s.degraded_batches,
-            ),
-            (
-                "ernn_sched_state_loads_total",
-                "Session-state reloads after eviction.",
-                s.state_loads,
-            ),
-            (
-                "ernn_sched_state_evictions_total",
-                "Session-state images evicted from device BRAM.",
-                s.state_evictions,
-            ),
-            (
-                "ernn_sched_device_crashes_total",
-                "Device crash faults applied.",
-                s.device_crashes,
-            ),
-            (
-                "ernn_sched_device_brownouts_total",
-                "Device brownout faults applied.",
-                s.device_brownouts,
-            ),
-            (
-                "ernn_sched_device_transients_total",
-                "Transient device faults applied.",
-                s.device_transients,
-            ),
-            (
-                "ernn_sched_batches_aborted_total",
-                "In-flight batches aborted by faults.",
-                s.batches_aborted,
-            ),
-            (
-                "ernn_sched_retries_scheduled_total",
-                "Aborted requests re-queued with backoff.",
-                s.retries_scheduled,
-            ),
-            (
-                "ernn_sched_retries_exhausted_total",
-                "Requests shed after exhausting their retry budget.",
-                s.retries_exhausted,
-            ),
-            (
-                "ernn_sched_failovers_total",
-                "Retried requests re-placed onto a different device.",
-                s.failovers,
-            ),
-            (
-                "ernn_sched_state_migrations_total",
-                "Pinned sessions re-pinned after a device crash.",
-                s.state_migrations,
-            ),
-        ] {
-            counter(&mut out, name, help, v.to_string());
-        }
-        for (name, help, v) in [
-            (
-                "ernn_sched_load_us_total",
-                "Virtual time spent streaming weight images (µs).",
-                s.load_us_total,
-            ),
-            (
-                "ernn_sched_state_load_us_total",
-                "Virtual time spent reloading session state (µs).",
-                s.state_load_us_total,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {}", num(v));
-        }
+/// The scheduler's [`SchedStats`] counters.
+fn write_sched_families(out: &mut String, s: &SchedStats) {
+    for (name, help, v) in [
+        (
+            "ernn_sched_admitted_total",
+            "Arrivals admitted into the scheduler queue.",
+            s.admitted as u64,
+        ),
+        (
+            "ernn_sched_shed_total",
+            "Arrivals shed by admission control.",
+            s.shed as u64,
+        ),
+        (
+            "ernn_sched_model_loads_total",
+            "Cold weight-image loads (residency misses).",
+            s.model_loads,
+        ),
+        (
+            "ernn_sched_model_evictions_total",
+            "Weight images evicted from device BRAM.",
+            s.model_evictions,
+        ),
+        (
+            "ernn_sched_degraded_batches_total",
+            "Batches capped by overload degradation.",
+            s.degraded_batches,
+        ),
+        (
+            "ernn_sched_state_loads_total",
+            "Session-state reloads after eviction.",
+            s.state_loads,
+        ),
+        (
+            "ernn_sched_state_evictions_total",
+            "Session-state images evicted from device BRAM.",
+            s.state_evictions,
+        ),
+        (
+            "ernn_sched_device_crashes_total",
+            "Device crash faults applied.",
+            s.device_crashes,
+        ),
+        (
+            "ernn_sched_device_brownouts_total",
+            "Device brownout faults applied.",
+            s.device_brownouts,
+        ),
+        (
+            "ernn_sched_device_transients_total",
+            "Transient device faults applied.",
+            s.device_transients,
+        ),
+        (
+            "ernn_sched_batches_aborted_total",
+            "In-flight batches aborted by faults.",
+            s.batches_aborted,
+        ),
+        (
+            "ernn_sched_retries_scheduled_total",
+            "Aborted requests re-queued with backoff.",
+            s.retries_scheduled,
+        ),
+        (
+            "ernn_sched_retries_exhausted_total",
+            "Requests shed after exhausting their retry budget.",
+            s.retries_exhausted,
+        ),
+        (
+            "ernn_sched_failovers_total",
+            "Retried requests re-placed onto a different device.",
+            s.failovers,
+        ),
+        (
+            "ernn_sched_state_migrations_total",
+            "Pinned sessions re-pinned after a device crash.",
+            s.state_migrations,
+        ),
+    ] {
+        counter(out, name, help, v);
     }
+    for (name, help, v) in [
+        (
+            "ernn_sched_load_us_total",
+            "Virtual time spent streaming weight images (µs).",
+            s.load_us_total,
+        ),
+        (
+            "ernn_sched_state_load_us_total",
+            "Virtual time spent reloading session state (µs).",
+            s.state_load_us_total,
+        ),
+    ] {
+        counter(out, name, help, num(v));
+    }
+}
 
-    if let Some(t) = timeline {
-        let gauge = |out: &mut String, name: &str, help: &str, v: String| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
-        };
-        counter(
-            &mut out,
-            "ernn_timeline_samples_total",
-            "Timeline samples emitted (retained + overwritten).",
-            (t.samples.len() as u64 + t.dropped).to_string(),
-        );
-        counter(
-            &mut out,
-            "ernn_timeline_dropped_total",
-            "Timeline samples lost to ring wraparound.",
-            t.dropped.to_string(),
+/// Timeline totals, the queue-delay EWMA, and the newest sample's gauges.
+fn write_timeline_families(out: &mut String, t: &Timeline) {
+    counter(
+        out,
+        "ernn_timeline_samples_total",
+        "Timeline samples emitted (retained + overwritten).",
+        t.samples.len() as u64 + t.dropped,
+    );
+    counter(
+        out,
+        "ernn_timeline_dropped_total",
+        "Timeline samples lost to ring wraparound.",
+        t.dropped,
+    );
+    gauge(
+        out,
+        "ernn_ewma_queue_delay_us",
+        "EWMA of per-request queue delay (virtual µs) - the calibrated load signal.",
+        num(t.ewma_queue_us),
+    );
+    if let Some(i) = t.samples.len().checked_sub(1) {
+        let s = &t.samples[i];
+        gauge(
+            out,
+            "ernn_queue_depth",
+            "Queued requests at the newest timeline sample.",
+            s.queue_depth,
         );
         gauge(
-            &mut out,
-            "ernn_ewma_queue_delay_us",
-            "EWMA of per-request queue delay (virtual µs) - the calibrated load signal.",
-            num(t.ewma_queue_us),
+            out,
+            "ernn_oldest_wait_us",
+            "Wait of the longest-queued request at the newest sample (virtual µs).",
+            num(s.oldest_wait_us),
         );
-        if let Some(i) = t.samples.len().checked_sub(1) {
-            let s = &t.samples[i];
-            gauge(
-                &mut out,
-                "ernn_queue_depth",
-                "Queued requests at the newest timeline sample.",
-                s.queue_depth.to_string(),
-            );
-            gauge(
-                &mut out,
-                "ernn_oldest_wait_us",
-                "Wait of the longest-queued request at the newest sample (virtual µs).",
-                num(s.oldest_wait_us),
-            );
-            gauge(
-                &mut out,
-                "ernn_live_sessions",
-                "Live streaming sessions at the newest sample.",
-                s.live_sessions.to_string(),
-            );
-            let _ = writeln!(
-                out,
-                "# HELP ernn_residency_bytes Resident image bytes by class at the newest sample."
-            );
-            let _ = writeln!(out, "# TYPE ernn_residency_bytes gauge");
-            let _ = writeln!(
-                out,
-                "ernn_residency_bytes{{class=\"weights\"}} {}",
-                s.weights_bytes
-            );
-            let _ = writeln!(
-                out,
-                "ernn_residency_bytes{{class=\"state\"}} {}",
-                s.state_bytes
-            );
-            let _ = writeln!(
-                out,
-                "# HELP ernn_device_utilization Per-device utilization over the newest interval."
-            );
-            let _ = writeln!(out, "# TYPE ernn_device_utilization gauge");
-            for (d, u) in t.device_util_row(i).iter().enumerate() {
-                let _ = writeln!(out, "ernn_device_utilization{{device=\"{d}\"}} {}", num(*u));
-            }
+        gauge(
+            out,
+            "ernn_live_sessions",
+            "Live streaming sessions at the newest sample.",
+            s.live_sessions,
+        );
+        let _ = writeln!(
+            out,
+            "# HELP ernn_residency_bytes Resident image bytes by class at the newest sample."
+        );
+        let _ = writeln!(out, "# TYPE ernn_residency_bytes gauge");
+        let _ = writeln!(
+            out,
+            "ernn_residency_bytes{{class=\"weights\"}} {}",
+            s.weights_bytes
+        );
+        let _ = writeln!(
+            out,
+            "ernn_residency_bytes{{class=\"state\"}} {}",
+            s.state_bytes
+        );
+        let _ = writeln!(
+            out,
+            "# HELP ernn_device_utilization Per-device utilization over the newest interval."
+        );
+        let _ = writeln!(out, "# TYPE ernn_device_utilization gauge");
+        for (d, u) in t.device_util_row(i).iter().enumerate() {
+            let _ = writeln!(out, "ernn_device_utilization{{device=\"{d}\"}} {}", num(*u));
         }
     }
+}
 
-    if let Some(h) = health {
-        counter(
-            &mut out,
-            "ernn_health_events_total",
-            "Health rule firings over the run.",
-            (h.events.len() as u64 + h.dropped).to_string(),
+/// Health-rule firing counters.
+fn write_health_families(out: &mut String, h: &HealthReport) {
+    counter(
+        out,
+        "ernn_health_events_total",
+        "Health rule firings over the run.",
+        h.events.len() as u64 + h.dropped,
+    );
+    counter(
+        out,
+        "ernn_health_events_dropped_total",
+        "Health rule firings lost past the event cap.",
+        h.dropped,
+    );
+    let _ = writeln!(out, "# HELP ernn_health_rule_fired_total Firings per rule.");
+    let _ = writeln!(out, "# TYPE ernn_health_rule_fired_total counter");
+    for rule in [
+        HealthRuleKind::SloBurnRate,
+        HealthRuleKind::DeviceStuck,
+        HealthRuleKind::ResidencyThrash,
+        HealthRuleKind::RetryStorm,
+    ] {
+        let _ = writeln!(
+            out,
+            "ernn_health_rule_fired_total{{rule=\"{}\"}} {}",
+            rule.label(),
+            h.count(rule)
         );
-        counter(
-            &mut out,
-            "ernn_health_events_dropped_total",
-            "Health rule firings lost past the event cap.",
-            h.dropped.to_string(),
-        );
-        let _ = writeln!(out, "# HELP ernn_health_rule_fired_total Firings per rule.");
-        let _ = writeln!(out, "# TYPE ernn_health_rule_fired_total counter");
-        for rule in [
-            HealthRuleKind::SloBurnRate,
-            HealthRuleKind::DeviceStuck,
-            HealthRuleKind::ResidencyThrash,
-            HealthRuleKind::RetryStorm,
-        ] {
-            let _ = writeln!(
-                out,
-                "ernn_health_rule_fired_total{{rule=\"{}\"}} {}",
-                rule.label(),
-                h.count(rule)
-            );
-        }
     }
+}
 
-    if let Some(shards) = shards {
+/// Per-shard gauge families, one `shard`-labelled row each.
+fn write_shard_families(out: &mut String, shards: &[ShardGauges]) {
+    let _ = writeln!(
+        out,
+        "# HELP ernn_shard_ewma_queue_delay_us Per-shard queue-delay EWMA, \
+         the router's load-feedback signal."
+    );
+    let _ = writeln!(out, "# TYPE ernn_shard_ewma_queue_delay_us gauge");
+    for g in shards {
         let _ = writeln!(
             out,
-            "# HELP ernn_shard_ewma_queue_delay_us Per-shard queue-delay EWMA, \
-             the router's load-feedback signal."
+            "ernn_shard_ewma_queue_delay_us{{shard=\"{}\"}} {}",
+            g.shard,
+            num(g.ewma_queue_us)
         );
-        let _ = writeln!(out, "# TYPE ernn_shard_ewma_queue_delay_us gauge");
-        for g in shards {
-            let _ = writeln!(
-                out,
-                "ernn_shard_ewma_queue_delay_us{{shard=\"{}\"}} {}",
-                g.shard,
-                num(g.ewma_queue_us)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP ernn_shard_resident_bytes Bytes resident across the shard's \
-             devices (weight + session-state images)."
-        );
-        let _ = writeln!(out, "# TYPE ernn_shard_resident_bytes gauge");
-        for g in shards {
-            let _ = writeln!(
-                out,
-                "ernn_shard_resident_bytes{{shard=\"{}\"}} {}",
-                g.shard, g.resident_bytes
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP ernn_shard_live_sessions Streaming sessions live on the shard."
-        );
-        let _ = writeln!(out, "# TYPE ernn_shard_live_sessions gauge");
-        for g in shards {
-            let _ = writeln!(
-                out,
-                "ernn_shard_live_sessions{{shard=\"{}\"}} {}",
-                g.shard, g.live_sessions
-            );
-        }
     }
-    out
+    let _ = writeln!(
+        out,
+        "# HELP ernn_shard_resident_bytes Bytes resident across the shard's \
+         devices (weight + session-state images)."
+    );
+    let _ = writeln!(out, "# TYPE ernn_shard_resident_bytes gauge");
+    for g in shards {
+        let _ = writeln!(
+            out,
+            "ernn_shard_resident_bytes{{shard=\"{}\"}} {}",
+            g.shard, g.resident_bytes
+        );
+    }
+    let _ = writeln!(
+        out,
+        "# HELP ernn_shard_live_sessions Streaming sessions live on the shard."
+    );
+    let _ = writeln!(out, "# TYPE ernn_shard_live_sessions gauge");
+    for g in shards {
+        let _ = writeln!(
+            out,
+            "ernn_shard_live_sessions{{shard=\"{}\"}} {}",
+            g.shard, g.live_sessions
+        );
+    }
 }
 
 #[cfg(test)]
@@ -2266,13 +2290,22 @@ mod tests {
                 aborted_us: 0.0,
             },
         );
-        let text = prometheus_snapshot_full(&metrics, &trace, None, None, None, None);
+        // A cluster report with no shards renders only the run families.
+        let report = ClusterReport {
+            responses,
+            metrics,
+            stats: crate::cluster::ClusterStats::default(),
+            shards: Vec::new(),
+            trace,
+            host_us: 0.0,
+        };
+        let text = report.prometheus();
         assert!(text.contains("ernn_requests_completed_total 1"));
         assert!(text.contains("ernn_latency_us_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("ernn_latency_us_count 1"));
         assert!(text.contains("ernn_stage_us{device=\"0\",model=\"0\",stage=\"compute\"} 4"));
         assert!(text.contains("ernn_stage_requests_total{device=\"0\",model=\"0\"} 1"));
-        // The plain snapshot carries no scheduler/timeline/health series.
+        // The cluster snapshot carries no scheduler/timeline/health series.
         assert!(!text.contains("ernn_sched_"));
         assert!(!text.contains("ernn_timeline_"));
         assert!(!text.contains("ernn_health_"));
@@ -2303,7 +2336,6 @@ mod tests {
             None,
         )];
         let metrics = ServeMetrics::compute(&responses, vec![4.0]);
-        let trace = RunTrace::default();
         let sched = SchedStats {
             admitted: 10,
             shed: 2,
@@ -2343,14 +2375,17 @@ mod tests {
             ewma_queue_us: 250.25,
             samples_evaluated: 1,
         };
-        let text = prometheus_snapshot_full(
-            &metrics,
-            &trace,
-            Some(&sched),
-            Some(&timeline),
-            Some(&health),
-            None,
-        );
+        let mut report = SchedReport {
+            responses,
+            metrics,
+            sched,
+            host_us: 0.0,
+            worker_fft: Vec::new(),
+            trace: RunTrace::default(),
+            timeline,
+            health,
+        };
+        let text = report.prometheus();
         for needle in [
             "ernn_sched_admitted_total 10",
             "ernn_sched_shed_total 2",
@@ -2379,5 +2414,12 @@ mod tests {
                 "malformed line: {line}"
             );
         }
+        // Without a captured timeline the timeline and health families
+        // are left out; the scheduler counters stay.
+        report.timeline.interval_us = 0.0;
+        let text = report.prometheus();
+        assert!(text.contains("ernn_sched_admitted_total 10"));
+        assert!(!text.contains("ernn_timeline_"));
+        assert!(!text.contains("ernn_health_"));
     }
 }
